@@ -6,7 +6,7 @@ A pytest-free driver for users who just want the artifacts:
     python scripts/run_paper.py [--full] [--only table4 fig3 ...]
 
 Every experiment runs under the resilient harness
-(``repro.experiments.runner``): a per-experiment wall-clock timeout,
+(``repro.faults.runner``): a per-experiment wall-clock timeout,
 exponential-backoff retries on transient faults, partial-artifact
 checkpoints, and a structured outcome report — a failing experiment
 degrades to a report entry instead of killing the suite.
@@ -457,7 +457,7 @@ def main() -> int:
     try:
         report = runner.run(selected)
     except (_Interrupted, KeyboardInterrupt) as exc:
-        from repro.experiments.runner import SuiteReport
+        from repro.faults.runner import SuiteReport
         name = exc.args[0] if isinstance(exc, _Interrupted) else "SIGINT"
         partial = SuiteReport(outcomes=list(finished))
         OUTPUT_DIR.mkdir(exist_ok=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -93,6 +93,47 @@ def content_digest(obj: Any, length: int = 16) -> str:
     subsystems.
     """
     return sha256_hex(canonical_json(obj) + "\n")[:length]
+
+
+def seal_jsonl(header: dict[str, Any], rows: Iterable[Any]) -> str:
+    """The sealed canonical-JSONL layout of every durable artifact that
+    must survive a torn write: a header line, one canonical line per
+    row, and a trailer line carrying the sha256 of everything above it.
+    """
+    body = "\n".join([canonical_json(header),
+                      *(canonical_json(row) for row in rows)]) + "\n"
+    return body + canonical_json({"sha256": sha256_hex(body)}) + "\n"
+
+
+def unseal_jsonl(text: str, fmt: str) -> tuple[dict[str, Any], list[Any]]:
+    """``(header, rows)`` of a :func:`seal_jsonl` file tagged ``fmt``.
+
+    Raises :class:`ConformanceError` when the file is truncated, fails
+    its integrity check or carries another format tag; each caller
+    decides what a broken file means (a cache miss, a shard to re-run,
+    or an error).
+    """
+    lines = text.splitlines()
+    if len(lines) < 2:
+        raise ConformanceError("truncated file")
+    try:
+        trailer = json.loads(lines[-1])
+    except json.JSONDecodeError as exc:
+        raise ConformanceError(f"unreadable trailer: {exc}") from exc
+    if not isinstance(trailer, dict) or "sha256" not in trailer:
+        raise ConformanceError("missing its integrity trailer")
+    if sha256_hex("\n".join(lines[:-1]) + "\n") != trailer["sha256"]:
+        raise ConformanceError(
+            "failed its integrity check (tampered or truncated)")
+    try:
+        header = json.loads(lines[0])
+        rows = [json.loads(line) for line in lines[1:-1]]
+    except json.JSONDecodeError as exc:
+        raise ConformanceError(f"unreadable line: {exc}") from exc
+    tag = header.get("format") if isinstance(header, dict) else None
+    if tag != fmt:
+        raise ConformanceError(f"format tag {tag!r} is not {fmt!r}")
+    return header, rows
 
 
 class ConformanceRecorder(TraceRecorder):

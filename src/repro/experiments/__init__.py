@@ -46,7 +46,7 @@ from repro.experiments.hostif_parity import (
     run_hostif_parity,
     render_hostif_parity,
 )
-from repro.experiments.runner import (
+from repro.faults.runner import (
     ExperimentOutcome,
     ExperimentRunner,
     ExperimentSpec,

@@ -21,17 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# The configuration/rendering helpers live in the conformance layer
-# (repro.conformance.hostconfig) because the scenario machinery and the
-# dataset CLI share them; the old underscore names stay re-exported.
 from repro.conformance.hostconfig import (
-    ACTIVE_CPUS as _ACTIVE_CPUS,
-    C6_DISABLED_CPUS as _C6_DISABLED_CPUS,
-    CONFIGURE as _CONFIGURE,
-    PIN_GHZ as _PIN_GHZ,
-    UNCORE_MAX_GHZ as _UNCORE_MAX_GHZ,
-    UNCORE_MIN_GHZ as _UNCORE_MIN_GHZ,
-    render_state as _render_state,
+    ACTIVE_CPUS,
+    CONFIGURE,
+    PIN_GHZ,
+    UNCORE_MAX_GHZ,
+    UNCORE_MIN_GHZ,
+    render_state,
 )
 from repro.hostif import VirtualHost
 from repro.system.node import build_haswell_node
@@ -44,12 +40,12 @@ def _run_variant(variant: str, fastpath: bool, seed: int,
     sim, node = build_haswell_node(seed=seed)
     node.set_fastpath(fastpath)
     host = VirtualHost(sim, node).start()
-    _CONFIGURE[variant](host)
-    node.run_workload(list(_ACTIVE_CPUS), firestarter())
+    CONFIGURE[variant](host)
+    node.run_workload(list(ACTIVE_CPUS), firestarter())
     sim.run_for(measure_ns)
     ledger = sim.ledger.render() if sim.ledger is not None else None
     checks = sum(s.sanitize_checks for s in node.sockets)
-    return _render_state(host), ledger, checks
+    return render_state(host), ledger, checks
 
 
 @dataclass(frozen=True)
@@ -114,8 +110,8 @@ def render_hostif_parity(result: HostifParityResult) -> str:
     lines = [
         "Host-interface parity: sysfs/MSR configuration vs direct API",
         f"(seed {result.seed}, {result.measure_ns / 1e6:.0f} ms simulated, "
-        f"userspace governor @ {_PIN_GHZ} GHz, EPB=0, turbo off, "
-        f"uncore [{_UNCORE_MIN_GHZ}, {_UNCORE_MAX_GHZ}] GHz, "
+        f"userspace governor @ {PIN_GHZ} GHz, EPB=0, turbo off, "
+        f"uncore [{UNCORE_MIN_GHZ}, {UNCORE_MAX_GHZ}] GHz, "
         "C6 disabled on idle cores)",
         "",
     ]

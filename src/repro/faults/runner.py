@@ -3,8 +3,7 @@
 Lives in the fault layer (it is the consumer-facing face of chaos
 mode: retries under reseeded fault plans, crash-surviving process
 pools) so the conformance machinery can drive it without importing the
-app-layer ``repro.experiments`` package;
-``repro.experiments.runner`` re-exports everything for compatibility.
+app-layer ``repro.experiments`` package.
 
 Wraps each experiment in a wall-clock timeout, retries transient faults
 with exponential backoff under a reseeded fault plan, checkpoints
@@ -21,14 +20,14 @@ Outcome semantics:
 * ``failed``   — a non-retryable error or the wall-clock timeout.
 
 Parallelism: ``jobs > 1`` fans independent experiments out over a
-``ProcessPoolExecutor``. Every experiment builds its own seeded
-simulator/node, so per-experiment results are bit-identical to a serial
-run; outcomes are reported in submission order. Builders must be
-picklable (module-level functions / ``functools.partial``, not
+:class:`~repro.util.pool.SupervisedPool`. Every experiment builds its
+own seeded simulator/node, so per-experiment results are bit-identical
+to a serial run; outcomes are reported in submission order. Builders
+must be picklable (module-level functions / ``functools.partial``, not
 lambdas). Under chaos mode each worker process arms the same chaos seed
 with fresh counters, so a parallel chaos run is deterministic but its
-per-experiment fault plans differ from a serial suite's (where the
-plan depends on how many nodes earlier experiments built).
+per-experiment fault plans differ from a serial suite's (where the plan
+depends on how many nodes earlier experiments built).
 """
 
 from __future__ import annotations
@@ -36,11 +35,7 @@ from __future__ import annotations
 import json
 import time
 import traceback
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +44,7 @@ from typing import Callable, Sequence
 from repro.errors import TransientFaultError
 from repro.faults import chaos
 from repro.faults.plan import DEFAULT_PROFILE, FaultProfile
+from repro.util.pool import SupervisedPool, WorkerLost
 from repro.util.retry import DEFAULT_RETRYABLE, Backoff
 
 
@@ -191,15 +187,23 @@ class ExperimentRunner:
             chaos.activate(self.chaos_seed, profile=self.chaos_profile)
         try:
             for name in selected:
-                outcome = self._run_one(self.specs[name])
-                report.outcomes.append(outcome)
-                if self.progress is not None:
-                    self.progress(outcome)
+                self._record(report, self._run_one(self.specs[name]))
         finally:
             if chaos_armed:
                 chaos.deactivate()
             self.close()
         return report
+
+    def _record(self, report: SuiteReport,
+                outcome: ExperimentOutcome) -> None:
+        """Checkpoint the artifact and report progress as each outcome
+        lands, so an interrupted suite still flushes what finished."""
+        if outcome.text is not None and self.artifact_writer is not None:
+            outcome.artifact = str(
+                self.artifact_writer(outcome.name, outcome.text))
+        report.outcomes.append(outcome)
+        if self.progress is not None:
+            self.progress(outcome)
 
     def close(self) -> None:
         """Release the timeout-guard executor (idempotent)."""
@@ -210,90 +214,37 @@ class ExperimentRunner:
     # ---- parallel mode ----------------------------------------------------
 
     def _run_parallel(self, selected: list[str]) -> SuiteReport:
-        """Fan the suite out over a process pool, surviving worker death.
-
-        A dead worker breaks the whole ``ProcessPoolExecutor``: every
-        unfinished future raises ``BrokenExecutor``, including
-        experiments that were never at fault. Rebuild the pool and
-        requeue exactly those unfinished experiments (completed results
-        are kept), up to ``max_attempts`` pool generations; an
-        experiment that then completes is reported ``retried``, not
-        ``failed`` — only experiments whose workers die in every
-        generation fail.
-        """
+        """Fan the suite out over a :class:`SupervisedPool` and collect
+        in submission order. An experiment whose worker died is
+        requeued; it fails only if its worker died on every attempt."""
+        pool = SupervisedPool(self.jobs, sleep=self.sleep)
+        options = dict(max_attempts=self.max_attempts, backoff=self.backoff,
+                       retry_on=self.retry_on, chaos_seed=self.chaos_seed,
+                       chaos_profile=self.chaos_profile)
+        futures = [pool.submit(_run_spec_in_worker, self.specs[name], options,
+                               max_attempts=self.max_attempts)
+                   for name in selected]
         report = SuiteReport()
-        results: dict[str, ExperimentOutcome] = {}
-        remaining = list(selected)
-        generation = 0
-
-        # Checkpoint artifacts and report progress as results land (not
-        # at the end), so an interrupted parallel suite still flushes
-        # everything that finished before the signal.
-        def finish(name: str, outcome: ExperimentOutcome) -> None:
-            if outcome.text is not None and self.artifact_writer is not None:
-                outcome.artifact = str(
-                    self.artifact_writer(outcome.name, outcome.text))
-            results[name] = outcome
-            if self.progress is not None:
-                self.progress(outcome)
-
-        while remaining:
-            generation += 1
-            last_break: BaseException | None = None
-            pool = ProcessPoolExecutor(max_workers=self.jobs)
-            try:
-                futures = {
-                    name: pool.submit(
-                        _run_spec_in_worker, self.specs[name],
-                        self.max_attempts, self.backoff, self.retry_on,
-                        self.chaos_seed, self.chaos_profile)
-                    for name in remaining
-                }
-                requeue: list[str] = []
-                for name in remaining:
-                    try:
-                        outcome = futures[name].result()
-                    except BrokenExecutor as exc:
-                        last_break = exc
-                        requeue.append(name)
-                        continue
-                    if generation > 1:
-                        outcome.attempts += generation - 1
-                        if outcome.status == "ok":
-                            outcome.status = "retried"
-                    finish(name, outcome)
-                remaining = requeue
-            except BaseException:
-                # Signal-driven unwind (KeyboardInterrupt or the
-                # driver's interrupt exception): abandon in-flight
-                # experiments instead of blocking a graceful shutdown
-                # on them; the caller flushes what finished. SIGKILL,
-                # not terminate(): forked workers inherit the parent's
-                # signal handlers, so SIGTERM gets absorbed into the
-                # worker's own harness while its builder thread keeps
-                # computing — and interpreter exit would then block on
-                # joining the worker until the longest in-flight
-                # experiment completes.
-                # No explicit shutdown(): killing the workers breaks
-                # the pool and its own machinery reaps the management
-                # thread at exit (shutdown(wait=False) here would close
-                # the wakeup pipe the atexit hook still writes to).
-                for proc in list((getattr(pool, "_processes", None)
-                                  or {}).values()):
-                    proc.kill()
-                raise
-            pool.shutdown(wait=True)
-            if remaining:
-                if generation >= self.max_attempts:
-                    for name in remaining:
-                        finish(name, ExperimentOutcome(
-                            name=name, status="failed", attempts=generation,
-                            duration_s=0.0,
-                            error=f"worker process died: {last_break}"))
-                    remaining = []
+        try:
+            for name, future in zip(selected, futures):
+                try:
+                    outcome = future.result()
+                except WorkerLost as exc:
+                    outcome = ExperimentOutcome(
+                        name=name, status="failed",
+                        attempts=future.attempts, duration_s=0.0,
+                        error=f"worker process died: {exc}")
                 else:
-                    self.sleep(self.backoff.delay_s(generation))
-        report.outcomes.extend(results[name] for name in selected)
+                    outcome.attempts += future.attempts - 1
+                    if future.attempts > 1 and outcome.status == "ok":
+                        outcome.status = "retried"
+                self._record(report, outcome)
+        except BaseException:
+            # A signal-driven unwind abandons in-flight experiments
+            # rather than block on them; the caller flushes the rest.
+            pool.shutdown(kill=True)
+            raise
+        pool.shutdown()
         return report
 
     # ---- internals --------------------------------------------------------
@@ -354,13 +305,10 @@ class ExperimentRunner:
     def _finish(self, spec: ExperimentSpec, t0: float, status: str,
                 attempts: int, error: str | None,
                 text: str | None = None) -> ExperimentOutcome:
-        outcome = ExperimentOutcome(
+        return ExperimentOutcome(
             name=spec.name, status=status, attempts=attempts,
             # repro-lint: disable=det-wallclock — harness-side duration report; never enters simulator state
             duration_s=time.monotonic() - t0, error=error, text=text)
-        if text is not None and self.artifact_writer is not None:
-            outcome.artifact = str(self.artifact_writer(spec.name, text))
-        return outcome
 
     def _checkpoint_attempt(self, spec: ExperimentSpec, attempt: int,
                             exc: BaseException) -> None:
@@ -373,22 +321,10 @@ class ExperimentRunner:
         self.artifact_writer(f"{spec.name}.attempt{attempt}", text)
 
 
-def _run_spec_in_worker(
-    spec: ExperimentSpec,
-    max_attempts: int,
-    backoff: Backoff,
-    retry_on: tuple[type[BaseException], ...],
-    chaos_seed: int | None,
-    chaos_profile: FaultProfile,
-) -> ExperimentOutcome:
-    """Run one experiment in a pool worker process.
-
-    A fresh single-spec runner reproduces the serial retry/timeout/chaos
-    semantics; artifacts are written by the parent (the outcome carries
-    the rendered text home).
-    """
-    runner = ExperimentRunner(
-        [spec], max_attempts=max_attempts, backoff=backoff,
-        retry_on=retry_on, chaos_seed=chaos_seed,
-        chaos_profile=chaos_profile)
-    return runner.run([spec.name]).outcomes[0]
+def _run_spec_in_worker(spec: ExperimentSpec,
+                        options: dict) -> ExperimentOutcome:
+    """Run one experiment in a pool worker process: a fresh single-spec
+    runner with the parent's ``options`` reproduces the serial
+    retry/timeout/chaos semantics; the outcome carries the rendered
+    text home for the parent to write."""
+    return ExperimentRunner([spec], **options).run().outcomes[0]

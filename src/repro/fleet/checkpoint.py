@@ -23,16 +23,26 @@ property the aggregate-equality acceptance test leans on.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.conformance.recorder import canonical_json, sha256_hex
-from repro.errors import CheckpointError
+from repro.conformance.recorder import seal_jsonl, unseal_jsonl
+from repro.errors import CheckpointError, ConformanceError
 from repro.fleet.plan import FleetPlan
 
 SHARD_FORMAT = "repro-fleet-shard"
+
+
+def claim_tombstone(path: Path | str) -> bool:
+    """Atomically create a one-shot marker file; True only the first
+    time, so an injected crash fires once and its retry runs clean."""
+    try:
+        with open(path, "x", encoding="utf-8") as fh:
+            fh.write("fired\n")
+        return True
+    except FileExistsError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -52,39 +62,21 @@ class ShardCheckpoint:
                 f"expected {self.node_ids}")
 
     def to_jsonl(self) -> str:
-        header = canonical_json(
+        return seal_jsonl(
             {"format": SHARD_FORMAT, "plan_digest": self.plan_digest,
-             "shard_id": self.shard_id, "node_ids": list(self.node_ids)})
-        lines = [header, *(canonical_json(r) for r in self.records)]
-        body = "\n".join(lines) + "\n"
-        return body + canonical_json({"sha256": sha256_hex(body)}) + "\n"
+             "shard_id": self.shard_id, "node_ids": list(self.node_ids)},
+            self.records)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ShardCheckpoint":
-        lines = text.splitlines()
-        if len(lines) < 2:
-            raise CheckpointError("truncated shard checkpoint")
         try:
-            trailer = json.loads(lines[-1])
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"unreadable trailer: {exc}") from exc
-        if not isinstance(trailer, dict) or "sha256" not in trailer:
-            raise CheckpointError("missing integrity trailer")
-        body = "\n".join(lines[:-1]) + "\n"
-        if sha256_hex(body) != trailer["sha256"]:
-            raise CheckpointError("shard checkpoint failed integrity check")
-        try:
-            header = json.loads(lines[0])
-            records = tuple(json.loads(ln) for ln in lines[1:-1])
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"unreadable shard line: {exc}") from exc
-        if header.get("format") != SHARD_FORMAT:
-            raise CheckpointError(
-                f"not a shard checkpoint (format {header.get('format')!r})")
+            header, records = unseal_jsonl(text, SHARD_FORMAT)
+        except ConformanceError as exc:
+            raise CheckpointError(f"shard checkpoint: {exc}") from exc
         return cls(plan_digest=header["plan_digest"],
                    shard_id=int(header["shard_id"]),
                    node_ids=tuple(int(n) for n in header["node_ids"]),
-                   records=records)
+                   records=tuple(records))
 
 
 class CheckpointStore:
@@ -166,12 +158,7 @@ class CheckpointStore:
         and runs clean.
         """
         self.marker_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            with open(self.marker_dir / name, "x", encoding="utf-8") as fh:
-                fh.write("fired\n")
-            return True
-        except FileExistsError:
-            return False
+        return claim_tombstone(self.marker_dir / name)
 
     # ---- internals -------------------------------------------------------
 

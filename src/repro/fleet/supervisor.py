@@ -4,8 +4,8 @@ Failure taxonomy (per shard, in the run report):
 
 * ``ok``       — completed on its first submission;
 * ``cached``   — already checkpointed by an earlier run (resume);
-* ``retried``  — its worker died (``BrokenProcessPool``); the pool was
-  rebuilt and the shard requeued, and a later attempt completed;
+* ``retried``  — its worker died; the pool was rebuilt and the shard
+  requeued, and a later attempt completed;
 * ``degraded`` — exceeded the per-shard straggler deadline; the sweep
   carries on without it (its future is abandoned, never killed — a
   late result is simply ignored);
@@ -20,10 +20,10 @@ chaos sweep), ``failed``, or ``interrupted``. Every non-``ok`` sweep is
 resumable: completed shards live in the checkpoint namespace, and
 ``resume`` runs only what is missing.
 
-Requeue backoff is exponential with *seeded* jitter
-(:class:`~repro.util.retry.Backoff` with a generator derived from the
-plan seed): a mass requeue after a pool rebuild de-synchronizes without
-consulting wall clock or global random state.
+Worker death is recovered by :class:`~repro.util.pool.SupervisedPool`;
+its rebuild backoff gets *seeded* jitter from a generator derived from
+the plan seed, so a mass requeue after a pool rebuild de-synchronizes
+without consulting wall clock or global random state.
 """
 
 from __future__ import annotations
@@ -31,23 +31,19 @@ from __future__ import annotations
 import signal
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from repro.engine.rng import make_rng
-from repro.fleet.checkpoint import CheckpointStore, ShardCheckpoint
-from repro.fleet.plan import FleetPlan, FleetShard
+from repro.fleet.checkpoint import CheckpointStore
+from repro.fleet.plan import FleetPlan
 from repro.fleet.worker import run_shard
-from repro.util.retry import Backoff
+from repro.util.pool import PoolFuture, SupervisedPool, WorkerLost
 
 #: Shard statuses that carry data in the checkpoint namespace.
 COMPLETE_STATUSES = frozenset({"ok", "cached", "retried"})
-
-#: Default requeue backoff: short, capped, half-range seeded jitter.
-DEFAULT_BACKOFF = Backoff(initial_s=0.05, max_delay_s=1.0, jitter_frac=0.5)
 
 
 @dataclass
@@ -121,7 +117,6 @@ class FleetSupervisor:
         ckpt_root: Path | str,
         *,
         jobs: int = 4,
-        backoff: Backoff = DEFAULT_BACKOFF,
         sleep: Callable[[float], None] = time.sleep,
         progress: Callable[[ShardOutcome], None] | None = None,
         poll_s: float = 0.05,
@@ -131,7 +126,6 @@ class FleetSupervisor:
         self.plan = plan
         self.store = CheckpointStore(ckpt_root, plan)
         self.jobs = jobs
-        self.backoff = backoff
         self.sleep = sleep
         self.progress = progress
         self.poll_s = poll_s
@@ -200,101 +194,67 @@ class FleetSupervisor:
         for sid in cached:
             outcomes[sid] = ShardOutcome(shard_id=sid, status="cached",
                                          attempts=0)
-        pending: deque[FleetShard] = deque(
-            s for s in self.plan.shards() if s.shard_id not in cached)
-        attempts: dict[int, int] = {}
-        in_flight: dict[Future, tuple[FleetShard, float, float]] = {}
-        retired_pools: list[ProcessPoolExecutor] = []
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        pending: deque[int] = deque(
+            s.shard_id for s in self.plan.shards() if s.shard_id not in cached)
+        # At most ``jobs`` shards in flight: a submitted shard starts at
+        # once, so its duration is run time, never queue time.
+        in_flight: dict[PoolFuture, tuple[int, float]] = {}
+        pool = SupervisedPool(self.jobs, rng=self._jitter_rng,
+                              sleep=self.sleep)
 
-        def finish(shard: FleetShard, status: str, error: str | None,
-                   t_submit: float) -> None:
+        def finish(fut: PoolFuture, status: str, error: str | None) -> None:
+            sid, t_submit = in_flight.pop(fut)
             outcome = ShardOutcome(
-                shard_id=shard.shard_id, status=status,
-                attempts=attempts.get(shard.shard_id, 0), error=error,
+                shard_id=sid, status=status, attempts=fut.attempts,
+                error=error,
                 # repro-lint: disable=det-wallclock — harness-side duration report; never enters simulator state
                 duration_s=time.monotonic() - t_submit)
-            outcomes[shard.shard_id] = outcome
+            outcomes[sid] = outcome
             if self.progress is not None:
                 self.progress(outcome)
 
         try:
-            while pending or in_flight:
-                if self._stop_requested:
-                    break
+            while (pending or in_flight) and not self._stop_requested:
                 while pending and len(in_flight) < self.jobs:
-                    shard = pending.popleft()
-                    sid = shard.shard_id
-                    attempts[sid] = attempts.get(sid, 0) + 1
+                    sid = pending.popleft()
                     fut = pool.submit(run_shard, self.plan, sid,
-                                      str(self.store.dir.parent))
+                                      str(self.store.dir.parent),
+                                      max_attempts=self.plan.max_attempts)
                     # repro-lint: disable=det-wallclock — straggler deadline is a harness-side wall-clock budget
-                    now = time.monotonic()
-                    in_flight[fut] = (
-                        shard, now, now + self.plan.straggler_timeout_s)
+                    in_flight[fut] = (sid, time.monotonic())
                 done, _ = wait(set(in_flight), timeout=self.poll_s,
                                return_when=FIRST_COMPLETED)
-                broken: list[tuple[FleetShard, float]] = []
                 for fut in done:
-                    shard, t_submit, _deadline = in_flight.pop(fut)
                     try:
-                        payload = fut.result()
-                    except BrokenExecutor:
-                        broken.append((shard, t_submit))
+                        checkpoint = fut.result()
+                    except WorkerLost:
+                        finish(fut, "lost", "worker died on every attempt")
                     except Exception as exc:  # noqa: BLE001 — sweep must survive
-                        finish(shard, "failed",
-                               f"{type(exc).__name__}: {exc}", t_submit)
+                        finish(fut, "failed", f"{type(exc).__name__}: {exc}")
                     else:
-                        self.store.write_shard(ShardCheckpoint(
-                            plan_digest=payload["plan_digest"],
-                            shard_id=payload["shard_id"],
-                            node_ids=tuple(payload["node_ids"]),
-                            records=tuple(payload["records"])))
-                        status = ("ok" if attempts[shard.shard_id] == 1
-                                  else "retried")
-                        finish(shard, status, None, t_submit)
-                if broken:
-                    # The pool is gone; every other in-flight future died
-                    # with it. Requeue all of them (bounded), rebuild.
-                    report.pool_rebuilds += 1
-                    victims = broken + [(sh, ts) for sh, ts, _ in
-                                        in_flight.values()]
-                    in_flight.clear()
-                    retired_pools.append(pool)
-                    pool.shutdown(wait=False)
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
-                    for shard, t_submit in victims:
-                        if attempts[shard.shard_id] >= self.plan.max_attempts:
-                            finish(shard, "lost",
-                                   "worker died on every attempt", t_submit)
-                        else:
-                            pending.append(shard)
-                    self.sleep(self.backoff.delay_s(
-                        min(report.pool_rebuilds, 10), rng=self._jitter_rng))
-                    continue
+                        self.store.write_shard(checkpoint)
+                        finish(fut, "ok" if fut.attempts == 1 else "retried",
+                               None)
                 # Straggler deadlines: degrade, never kill. The future is
                 # abandoned; a late result is ignored (no checkpoint).
                 # repro-lint: disable=det-wallclock — straggler deadline is a harness-side wall-clock budget
                 now = time.monotonic()
-                for fut in [f for f, (_s, _t, dl) in in_flight.items()
-                            if now > dl]:
-                    shard, t_submit, _deadline = in_flight.pop(fut)
-                    fut.cancel()
-                    finish(shard, "degraded",
-                           f"straggler: exceeded "
-                           f"{self.plan.straggler_timeout_s:g} s", t_submit)
+                for fut, (_sid, t_submit) in list(in_flight.items()):
+                    if now - t_submit > self.plan.straggler_timeout_s:
+                        fut.cancel()
+                        finish(fut, "degraded",
+                               f"straggler: exceeded "
+                               f"{self.plan.straggler_timeout_s:g} s")
         finally:
-            for shard, t_submit, _deadline in in_flight.values():
-                finish(shard, "interrupted", "stopped by signal", t_submit)
-            for shard in pending:
-                outcomes[shard.shard_id] = ShardOutcome(
-                    shard_id=shard.shard_id, status="interrupted",
-                    attempts=attempts.get(shard.shard_id, 0),
-                    error="stopped by signal")
+            for fut in list(in_flight):
+                finish(fut, "interrupted", "stopped by signal")
+            for sid in pending:
+                outcomes[sid] = ShardOutcome(shard_id=sid, status="interrupted",
+                                             attempts=0,
+                                             error="stopped by signal")
             report.interrupted = self._stop_requested
-            pool.shutdown(wait=False)
-            for retired in retired_pools:
-                retired.shutdown(wait=False)
+            report.pool_rebuilds = pool.rebuilds
+            pool.shutdown()
         report.outcomes = [outcomes[sid]
                            for sid in sorted(outcomes)]
         return report

@@ -33,7 +33,7 @@ import time
 from repro.engine.simulator import Simulator
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind
-from repro.fleet.checkpoint import CheckpointStore
+from repro.fleet.checkpoint import CheckpointStore, ShardCheckpoint
 from repro.fleet.plan import FleetPlan, FleetShard
 from repro.power.rapl import RaplDomain
 from repro.specs.node import HASWELL_TEST_NODE
@@ -107,11 +107,12 @@ def _maybe_inject_process_faults(plan: FleetPlan, shard: FleetShard,
         time.sleep(plan.straggler_hold_s)
 
 
-def run_shard(plan: FleetPlan, shard_id: int, ckpt_root: str) -> dict:
-    """Execute one shard; returns the checkpoint payload for the parent."""
+def run_shard(plan: FleetPlan, shard_id: int,
+              ckpt_root: str) -> ShardCheckpoint:
+    """Execute one shard; returns its checkpoint for the parent to write."""
     shard = plan.shards()[shard_id]
     store = CheckpointStore(ckpt_root, plan)
     _maybe_inject_process_faults(plan, shard, store)
     records = [simulate_node(plan, node_id) for node_id in shard.node_ids]
-    return {"plan_digest": store.plan_digest, "shard_id": shard_id,
-            "node_ids": list(shard.node_ids), "records": records}
+    return ShardCheckpoint(plan_digest=store.plan_digest, shard_id=shard_id,
+                           node_ids=shard.node_ids, records=tuple(records))

@@ -68,6 +68,10 @@ AMBIENT_RNG_EXACT = frozenset({
 })
 AMBIENT_RNG_PREFIXES = ("random.", "numpy.random.", "secrets.")
 
+#: Constructor-name suffixes of pools whose workers are processes, so
+#: whatever is submitted to them is pickled.
+PROCESS_EXECUTORS = ("ProcessPoolExecutor", "SupervisedPool")
+
 #: Calls that block the thread they run on (and so the event loop).
 BLOCKING_ORIGINS = frozenset({
     "time.sleep",
@@ -514,7 +518,7 @@ class _FactsExtractor(ast.NodeVisitor):
         if origin is None and isinstance(node, ast.Call):
             origin = self.ctx.resolve(node.func)
         if origin is not None:
-            if origin.endswith("ProcessPoolExecutor"):
+            if origin.endswith(PROCESS_EXECUTORS):
                 return "process"
             if origin.endswith("ThreadPoolExecutor"):
                 return "thread"
@@ -526,7 +530,7 @@ class _FactsExtractor(ast.NodeVisitor):
         if name is not None:
             source = self._lookup_binding(name)
             if source is not None:
-                if source.endswith("ProcessPoolExecutor"):
+                if source.endswith(PROCESS_EXECUTORS):
                     return "process"
                 if source.endswith("ThreadPoolExecutor"):
                     return "thread"
@@ -610,8 +614,8 @@ def _collect_attr_bindings(tree: ast.Module, ctx: FileContext) -> dict:
         if not isinstance(value, ast.Call):
             return
         origin = ctx.resolve(value.func)
-        if origin is None or not origin.endswith(("ProcessPoolExecutor",
-                                                  "ThreadPoolExecutor")):
+        if origin is None or not origin.endswith(
+                (*PROCESS_EXECUTORS, "ThreadPoolExecutor")):
             return
         for target in targets:
             name = target.attr if isinstance(target, ast.Attribute) \

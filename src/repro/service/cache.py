@@ -24,15 +24,14 @@ assembled from runs.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.conformance import schema as _schema
-from repro.conformance.recorder import (canonical_json, content_digest,
-                                        sha256_hex)
-from repro.errors import ServiceError
+from repro.conformance.recorder import (content_digest, seal_jsonl,
+                                        sha256_hex, unseal_jsonl)
+from repro.errors import ConformanceError, ServiceError
 
 RESULT_FORMAT = "repro-service-result"
 RESULT_VERSION = 1
@@ -61,31 +60,18 @@ class CacheEntry:
                 "trace_digest": self.trace_digest}
 
     def to_jsonl(self) -> str:
-        body = "\n".join([canonical_json(self.header()),
-                          canonical_json({"result": self.result}),
-                          canonical_json({"trace": self.trace_jsonl})]) + "\n"
-        return body + canonical_json({"sha256": sha256_hex(body)}) + "\n"
+        return seal_jsonl(self.header(), [{"result": self.result},
+                                          {"trace": self.trace_jsonl}])
 
     @classmethod
     def from_jsonl(cls, text: str) -> "CacheEntry":
-        lines = text.splitlines()
-        if len(lines) != 4:
-            raise ServiceError(
-                f"cache entry has {len(lines)} lines, expected 4")
         try:
-            header = json.loads(lines[0])
-            result = json.loads(lines[1])
-            trace = json.loads(lines[2])
-            trailer = json.loads(lines[3])
-        except json.JSONDecodeError as exc:
-            raise ServiceError(f"unreadable cache entry: {exc}") from exc
-        body = "\n".join(lines[:-1]) + "\n"
-        if (not isinstance(trailer, dict)
-                or sha256_hex(body) != trailer.get("sha256")):
-            raise ServiceError("cache entry failed its integrity check")
-        if header.get("format") != RESULT_FORMAT:
+            header, rows = unseal_jsonl(text, RESULT_FORMAT)
+        except ConformanceError as exc:
+            raise ServiceError(f"cache entry: {exc}") from exc
+        if len(rows) != 2:
             raise ServiceError(
-                f"not a service result (format tag {header.get('format')!r})")
+                f"cache entry has {len(rows)} rows, expected 2")
         if header.get("version") != RESULT_VERSION:
             raise ServiceError(
                 f"cache entry version {header.get('version')!r} is not "
@@ -96,8 +82,8 @@ class CacheEntry:
                    schema_version=int(header["schema_version"]),
                    schema_digest=str(header["schema_digest"]),
                    trace_digest=str(header["trace_digest"]),
-                   result=dict(result["result"]),
-                   trace_jsonl=str(trace["trace"]))
+                   result=dict(rows[0]["result"]),
+                   trace_jsonl=str(rows[1]["trace"]))
 
     # ---- verification -----------------------------------------------------
 

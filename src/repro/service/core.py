@@ -4,11 +4,12 @@
 ``repro-service``. A submitted :class:`~repro.service.sweep.SweepRequest`
 becomes a *job*: the sweep expands to conformance-scenario tasks, each
 task first consults the digest-verified result cache, and the misses
-are dispatched to a crash-isolated :class:`ProcessPoolExecutor` via
-``loop.run_in_executor``. Worker death (injected or real) surfaces as
-``BrokenExecutor``; the service rebuilds the pool and requeues every
-in-flight task, bounded by the request's ``max_attempts`` — the same
-recovery contract as the fleet supervisor, lifted into asyncio.
+are submitted to the service's one
+:class:`~repro.util.pool.SupervisedPool` and awaited through
+``asyncio.wrap_future``. Worker death (injected or real) is the pool's
+to recover: it rebuilds once per break and requeues every task that
+was running, bounded by the request's ``max_attempts`` — the same
+contract, and the same primitive, as the fleet supervisor's.
 
 Task taxonomy (per task, in the job's run report): ``cached`` — served
 from a verified cache entry; ``ok`` — computed on the first attempt;
@@ -24,33 +25,27 @@ per-task records (a pure function of request × dataset × schema — a
 resubmission serves it byte-identically from cache), and ``run.json``
 holds the dynamics (hits, attempts, rebuilds) that are deliberately
 *not* data.
-
-The wall-clock suppressions in this module are the service/simulation
-boundary: backoff between pool rebuilds and watcher wake-ups are host
-concerns that never reach simulator state (see docs/service.md).
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.conformance.recorder import Trace, canonical_json, sha256_hex
 from repro.conformance.scenario import ScenarioManifest, run_scenario
 from repro.errors import ServiceError
+from repro.fleet.checkpoint import claim_tombstone
+from repro.fleet.worker import CRASH_EXIT_STATUS
 from repro.service.cache import ResultCache, make_entry
 from repro.service.dataset import (DEFAULT_SEARCH_DIRS, HostDataset,
                                    load_dataset, resolve_dataset)
 from repro.service.sweep import SweepRequest, TaskSpec, expand_sweep
+from repro.util.pool import PoolFuture, SupervisedPool, WorkerLost
 
 RESULTS_FORMAT = "repro-service-results"
-
-#: Exit status of an injected worker crash (matches the fleet worker).
-CRASH_EXIT_STATUS = 117
 
 #: Task statuses whose records enter the canonical results report.
 COMPLETE_STATUSES = frozenset({"cached", "ok", "retried"})
@@ -58,25 +53,15 @@ COMPLETE_STATUSES = frozenset({"cached", "ok", "retried"})
 
 # ---- worker side (module-level: must pickle into the pool) ------------------
 
-def _claim_marker(marker_path: str) -> bool:
-    """Atomically claim a one-shot crash tombstone; True the first time."""
-    try:
-        with open(marker_path, "x", encoding="utf-8") as fh:
-            fh.write("fired\n")
-        return True
-    except FileExistsError:
-        return False
-
-
 def execute_task(manifest_dict: dict, crash_marker: str | None) -> dict:
     """Run one scenario in a pool worker; returns record + trace.
 
     With ``crash_marker`` set (injected chaos) and unclaimed, the worker
     dies mid-task exactly like an OOM kill — no exception, no cleanup —
-    and the parent sees ``BrokenProcessPool``. The tombstone makes the
+    and the pool sees a broken executor. The tombstone makes the
     crash one-shot: the retry runs clean.
     """
-    if crash_marker is not None and _claim_marker(crash_marker):
+    if crash_marker is not None and claim_tombstone(crash_marker):
         os._exit(CRASH_EXIT_STATUS)
     manifest = ScenarioManifest.from_dict(manifest_dict)
     trace = run_scenario(manifest)
@@ -124,7 +109,7 @@ class Job:
     tasks: list[TaskState]
     state: str = "running"      # running | ok | degraded | failed | cancelled
     cache_hits: int = 0
-    pool_rebuilds: int = 0
+    rebuilds_seen: set[int] = field(default_factory=set)
     events: list[dict] = field(default_factory=list)
     cond: asyncio.Condition = field(default_factory=asyncio.Condition)
 
@@ -138,7 +123,7 @@ class Job:
         return {"job_id": self.job_id, "name": self.request.name,
                 "state": self.state, "n_tasks": len(self.tasks),
                 "counts": self.counts(), "cache_hits": self.cache_hits,
-                "pool_rebuilds": self.pool_rebuilds,
+                "pool_rebuilds": len(self.rebuilds_seen),
                 "request_digest": self.request.digest(),
                 "dataset": self.dataset_name,
                 "dataset_digest": self.dataset_digest[:16]}
@@ -174,21 +159,20 @@ class ExperimentService:
     """Long-lived asyncio service: submit sweeps, stream their progress."""
 
     def __init__(self, *, state_root: Path | str, jobs: int = 2,
-                 dataset_dirs: tuple[str, ...] | None = None,
-                 rebuild_backoff_s: float = 0.05) -> None:
+                 dataset_dirs: tuple[str, ...] | None = None) -> None:
         if jobs < 1:
             raise ServiceError("the service needs at least one worker")
         self.state_root = Path(state_root)
         self.cache = ResultCache(self.state_root / "cache")
         self.dataset_dirs = (dataset_dirs if dataset_dirs is not None
                              else DEFAULT_SEARCH_DIRS)
-        self.jobs_limit = jobs
-        self.rebuild_backoff_s = rebuild_backoff_s
         self._jobs: dict[str, Job] = {}
         self._runners: dict[str, asyncio.Task] = {}
         self._seq = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._retired: list[ProcessPoolExecutor] = []
+        self._pool = SupervisedPool(jobs)
+        # Tasks in flight are capped at the worker count, so a worker
+        # death charges an attempt only to tasks that were running.
+        self._slots = asyncio.Semaphore(jobs)
 
     # ---- submission -------------------------------------------------------
 
@@ -265,29 +249,12 @@ class ExperimentService:
         return job.status_dict()
 
     async def close(self) -> None:
-        """Cancel every running job and shut the pools down."""
+        """Cancel every running job and shut the pool down."""
         for job_id in list(self._runners):
             await self.cancel(job_id)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-        for pool in self._retired:
-            pool.shutdown(wait=False)
-        self._retired.clear()
+        self._pool.shutdown()
 
     # ---- job execution ----------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs_limit)
-        return self._pool
-
-    def _rebuild_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None:
-            self._retired.append(self._pool)
-            self._pool.shutdown(wait=False)
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs_limit)
-        return self._pool
 
     async def _emit(self, job: Job, **event) -> None:
         async with job.cond:
@@ -307,7 +274,7 @@ class ExperimentService:
         self._write_outputs(job)
         await self._emit(job, event="job", job_id=job.job_id, state=state,
                          counts=job.counts(), cache_hits=job.cache_hits,
-                         pool_rebuilds=job.pool_rebuilds)
+                         pool_rebuilds=len(job.rebuilds_seen))
 
     def _write_outputs(self, job: Job) -> Path:
         out = self.job_dir(job.job_id)
@@ -353,68 +320,15 @@ class ExperimentService:
             await self._settle(job, "failed")
 
     async def _drive(self, job: Job) -> None:
-        loop = asyncio.get_running_loop()
         marker_dir = self.job_dir(job.job_id) / "markers"
         marker_dir.mkdir(parents=True, exist_ok=True)
-        pending: deque[TaskState] = deque()
-        for task in job.tasks:
-            if self._serve_from_cache(job, task):
-                await self._finish_task(job, task, "cached")
-            else:
-                pending.append(task)
-        in_flight: dict[asyncio.Future, TaskState] = {}
-        pool = self._ensure_pool()
-        while pending or in_flight:
-            while pending and len(in_flight) < self.jobs_limit:
-                task = pending.popleft()
-                task.attempts += 1
-                task.status = "running"
-                crash = (str(marker_dir / f"crash-{task.spec.task_id:04d}")
-                         if task.spec.task_id in job.request.crash_tasks
-                         else None)
-                fut = loop.run_in_executor(
-                    pool, execute_task, task.spec.manifest.to_dict(), crash)
-                in_flight[fut] = task
-            done, _ = await asyncio.wait(
-                in_flight, return_when=asyncio.FIRST_COMPLETED)
-            broken: list[TaskState] = []
-            for fut in done:
-                task = in_flight.pop(fut)
-                try:
-                    # repro-lint: disable=async-blocking — fut is in asyncio.wait's done set: already resolved, result() cannot block
-                    payload = fut.result()
-                except BrokenExecutor:
-                    broken.append(task)
-                except Exception as exc:  # noqa: BLE001 — job must survive
-                    await self._finish_task(
-                        job, task, "failed", f"{type(exc).__name__}: {exc}")
-                else:
-                    self._store_result(job, task, payload)
-                    await self._finish_task(
-                        job, task,
-                        "ok" if task.attempts == 1 else "retried")
-            if broken:
-                # The pool is gone and every sibling future died with
-                # it: requeue all of them (bounded), rebuild, back off.
-                job.pool_rebuilds += 1
-                victims = broken + list(in_flight.values())
-                for fut in in_flight:
-                    fut.add_done_callback(lambda f: f.exception())
-                in_flight.clear()
-                pool = self._rebuild_pool()
-                for task in victims:
-                    if task.attempts >= job.request.max_attempts:
-                        await self._finish_task(
-                            job, task, "lost",
-                            "worker died on every attempt")
-                    else:
-                        pending.append(task)
-                await self._emit(job, event="pool-rebuild",
-                                 rebuilds=job.pool_rebuilds,
-                                 requeued=len(victims))
-                # repro-lint: disable=det-wallclock — host-side backoff after a worker crash; simulator state is untouched
-                await asyncio.sleep(
-                    self.rebuild_backoff_s * min(job.pool_rebuilds, 10))
+        futures: list[PoolFuture] = []
+        try:
+            await asyncio.gather(*(self._execute(job, task, marker_dir, futures)
+                                   for task in job.tasks))
+        finally:
+            for fut in futures:
+                fut.cancel()        # abandon whatever is still unfinished
         statuses = {t.status for t in job.tasks}
         if statuses & {"failed"}:
             state = "failed"
@@ -423,6 +337,39 @@ class ExperimentService:
         else:
             state = "degraded"
         await self._settle(job, state)
+
+    async def _execute(self, job: Job, task: TaskState, marker_dir: Path,
+                       futures: list[PoolFuture]) -> None:
+        """Serve one task from the cache, or run it on the pool."""
+        if self._serve_from_cache(job, task):
+            await self._finish_task(job, task, "cached")
+            return
+        crash = (str(marker_dir / f"crash-{task.spec.task_id:04d}")
+                 if task.spec.task_id in job.request.crash_tasks else None)
+        async with self._slots:
+            task.status = "running"
+            fut = self._pool.submit(execute_task, task.spec.manifest.to_dict(),
+                                    crash, max_attempts=job.request.max_attempts)
+            futures.append(fut)
+            try:
+                payload = await asyncio.wrap_future(fut)
+            except WorkerLost:
+                status, error = "lost", "worker died on every attempt"
+            except Exception as exc:  # noqa: BLE001 — job must survive
+                status, error = "failed", f"{type(exc).__name__}: {exc}"
+            else:
+                self._store_result(job, task, payload)
+                status = "ok" if fut.attempts == 1 else "retried"
+                error = None
+        task.attempts = fut.attempts
+        # Each pool rebuild that requeued this job's tasks is reported
+        # once, when the first of its victims settles.
+        for rebuild in sorted(set(fut.lost_in) - job.rebuilds_seen):
+            job.rebuilds_seen.add(rebuild)
+            await self._emit(
+                job, event="pool-rebuild", rebuilds=len(job.rebuilds_seen),
+                requeued=sum(rebuild in f.lost_in for f in futures))
+        await self._finish_task(job, task, status, error)
 
     def _store_result(self, job: Job, task: TaskState,
                       payload: dict) -> None:

@@ -27,12 +27,11 @@ cache key.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.conformance.recorder import canonical_json, sha256_hex
-from repro.errors import DatasetError, MsrError
+from repro.conformance.recorder import seal_jsonl, sha256_hex, unseal_jsonl
+from repro.errors import ConformanceError, DatasetError, MsrError
 from repro.hostif import VirtualHost
 from repro.hostif.msr_regs import HostMsr
 from repro.hostif.sysfs import VirtualSysfs
@@ -93,9 +92,7 @@ class HostDataset:
                 "t_ns": self.t_ns, "n_entries": len(self.entries)}
 
     def to_jsonl(self) -> str:
-        body = "\n".join([canonical_json(self.header()),
-                          *(canonical_json(e) for e in self.entries)]) + "\n"
-        return body + canonical_json({"sha256": sha256_hex(body)}) + "\n"
+        return seal_jsonl(self.header(), self.entries)
 
     def digest(self) -> str:
         """Full sha256 over the canonical file bytes — the identity the
@@ -115,27 +112,10 @@ class HostDataset:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "HostDataset":
-        lines = text.splitlines()
-        if len(lines) < 2:
-            raise DatasetError("truncated dataset file")
         try:
-            trailer = json.loads(lines[-1])
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"unreadable dataset trailer: {exc}") from exc
-        if not isinstance(trailer, dict) or "sha256" not in trailer:
-            raise DatasetError("dataset is missing its integrity trailer")
-        body = "\n".join(lines[:-1]) + "\n"
-        if sha256_hex(body) != trailer["sha256"]:
-            raise DatasetError("dataset failed its integrity check "
-                               "(tampered or truncated)")
-        try:
-            header = json.loads(lines[0])
-            entries = tuple(json.loads(ln) for ln in lines[1:-1])
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"unreadable dataset line: {exc}") from exc
-        if header.get("format") != DATASET_FORMAT:
-            raise DatasetError(
-                f"not a host dataset (format tag {header.get('format')!r})")
+            header, entries = unseal_jsonl(text, DATASET_FORMAT)
+        except ConformanceError as exc:
+            raise DatasetError(f"dataset: {exc}") from exc
         if header.get("version") != DATASET_VERSION:
             raise DatasetError(
                 f"dataset version {header.get('version')!r} is not the "
@@ -146,7 +126,7 @@ class HostDataset:
                 f"entries, file carries {len(entries)}")
         return cls(name=str(header["name"]), seed=int(header["seed"]),
                    spec=str(header["spec"]), t_ns=int(header["t_ns"]),
-                   entries=entries)
+                   entries=tuple(entries))
 
 
 # ---- snapshot ---------------------------------------------------------------

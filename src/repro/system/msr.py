@@ -38,11 +38,6 @@ POWER_UNIT_W = 0.125
 PL1_MASK = 0x7FFF
 PL1_ENABLE = 1 << 15
 
-# Backwards-compatible aliases (the experiment modules import these).
-_POWER_UNIT_W = POWER_UNIT_W
-_PL1_MASK = PL1_MASK
-_PL1_ENABLE = PL1_ENABLE
-
 # Energy-status registers are 32-bit counters that wrap; the raw read must
 # never expose more bits even if a fault hook or injector skewed the
 # underlying count past the wrap boundary.
@@ -75,8 +70,8 @@ class MsrSpace:
             return exponent << 8
         if address == MSR.MSR_PKG_POWER_LIMIT:
             pcu = self.node.pcus[core.socket_id]
-            counts = int(pcu.limiter.budget_w / _POWER_UNIT_W) & _PL1_MASK
-            return counts | _PL1_ENABLE
+            counts = int(pcu.limiter.budget_w / POWER_UNIT_W) & PL1_MASK
+            return counts | PL1_ENABLE
         if address == MSR.MSR_PKG_ENERGY_STATUS:
             return (socket.rapl.read_counter(RaplDomain.PACKAGE)
                     & _ENERGY_STATUS_MASK)
@@ -98,11 +93,11 @@ class MsrSpace:
         if address == MSR.MSR_PKG_POWER_LIMIT:
             # Running-average power limiting: the PL1 budget the PCU
             # enforces (the hardware-enforced power bound of [24]).
-            limit_w = (value & _PL1_MASK) * _POWER_UNIT_W
+            limit_w = (value & PL1_MASK) * POWER_UNIT_W
             if limit_w <= 0:
                 raise MsrError("PKG_POWER_LIMIT: zero/negative PL1")
             pcu = self.node.pcus[core.socket_id]
-            if value & _PL1_ENABLE:
+            if value & PL1_ENABLE:
                 pcu.limiter.budget_w = limit_w
             else:
                 pcu.limiter.budget_w = pcu.spec.tdp_w

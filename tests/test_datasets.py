@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.errors import DatasetError
-from repro.experiments.hostif_parity import _CONFIGURE
+from repro.conformance.hostconfig import CONFIGURE
 from repro.hostif import VirtualHost
 from repro.service.dataset import (
     HostDataset,
@@ -38,7 +38,7 @@ def _fresh_host(seed: int = SEED, configure: str | None = None) -> VirtualHost:
     sim, node = build_haswell_node(seed=seed)
     host = VirtualHost(sim, node)
     if configure is not None:
-        _CONFIGURE[configure](host)
+        CONFIGURE[configure](host)
     return host
 
 
@@ -144,11 +144,6 @@ def test_truncated_dataset_is_rejected():
     # Drop the trailer entirely.
     with pytest.raises(DatasetError):
         HostDataset.from_jsonl("\n".join(lines[:-1]) + "\n")
-
-
-def test_wrong_format_tag_is_rejected():
-    with pytest.raises(DatasetError):
-        HostDataset.from_jsonl('{"format":"something-else"}\n')
 
 
 def test_entry_count_mismatch_is_rejected():

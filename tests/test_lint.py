@@ -40,6 +40,7 @@ BAD_FIXTURES = {
     "bad_async_condition.py": {"async-condition"},
     "bad_fire_forget.py": {"async-fire-forget"},
     "bad_executor_lambda.py": {"exec-picklable"},
+    "bad_pool_lambda.py": {"exec-picklable"},
 }
 
 GOOD_FIXTURES = [
@@ -58,6 +59,7 @@ GOOD_FIXTURES = [
     "good_async_condition.py",
     "good_fire_forget.py",
     "good_executor.py",
+    "good_pool.py",
 ]
 
 #: rule ids proven by the directory fixtures (archpkg) below rather
@@ -95,6 +97,12 @@ class TestRuleFixtures:
         findings = lint_fixture(name)
         assert findings == [], \
             f"{name}: " + "; ".join(f.render() for f in findings)
+
+    def test_supervised_pool_submits_are_all_checked(self):
+        # A local pool, a nested function and an attribute-bound pool
+        # (self._pool = SupervisedPool(...)) are each classed "process".
+        findings = lint_fixture("bad_pool_lambda.py")
+        assert [f.line for f in findings] == [8, 13, 22]
 
     def test_rng_batch_rule_exempts_the_rng_module(self):
         # DrawBatch's own implementation is the one sanctioned toucher

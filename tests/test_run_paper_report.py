@@ -14,7 +14,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from repro.experiments.runner import ExperimentRunner, ExperimentSpec
+from repro.faults.runner import ExperimentRunner, ExperimentSpec
 
 REPO = Path(__file__).parents[1]
 REPORT = REPO / "benchmarks" / "output" / "run_paper_report.json"

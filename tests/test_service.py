@@ -16,6 +16,7 @@ properties they certify are the service's headline guarantees:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -153,15 +154,6 @@ def test_tampered_cache_entry_is_a_miss(tmp_path):
     assert cache.get(entry.cache_key) is None
 
 
-def test_truncated_cache_entry_is_a_miss(tmp_path):
-    cache = ResultCache(tmp_path)
-    entry = _entry()
-    path = cache.put(entry)
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text[: len(text) // 2], encoding="utf-8")
-    assert cache.get(entry.cache_key) is None
-
-
 def test_mis_keyed_cache_entry_is_a_miss(tmp_path):
     """A valid entry renamed under another key must not be served: its
     header components no longer digest to the key being looked up."""
@@ -195,8 +187,7 @@ def test_cache_key_moves_with_schema():
 
 def _service(tmp_path, **overrides) -> ExperimentService:
     base = dict(state_root=tmp_path / "state", jobs=2,
-                dataset_dirs=(str(tmp_path / "datasets"),),
-                rebuild_backoff_s=0.0)
+                dataset_dirs=(str(tmp_path / "datasets"),))
     base.update(overrides)
     return ExperimentService(**base)
 
@@ -285,6 +276,35 @@ def test_worker_crash_degrades_job_but_not_results(tmp_path):
 
     assert clean["counts"] == {"cached": 2}   # crash results were cached
     assert _results_bytes(service, crashed) == _results_bytes(service, clean)
+
+
+def test_concurrent_jobs_each_survive_a_worker_crash(tmp_path):
+    """Two jobs share the service's pool and each crashes one worker:
+    the pool must rebuild without stranding the other job, so both
+    settle degraded with every record equal to an undisturbed run's."""
+    _dataset(tmp_path)
+    requests = [_request(name=name, seeds=seeds, dataset="ds",
+                         crash_tasks=(0,))
+                for name, seeds in (("a", (11, 12, 13)), ("b", (21, 22, 23)))]
+
+    async def run_all(state: str, reqs):
+        service = _service(tmp_path, state_root=tmp_path / state)
+        try:
+            statuses = await asyncio.gather(
+                *(_run_job(service, r) for r in reqs))
+        finally:
+            await service.close()
+        return [_results_bytes(service, s) for s, _ in statuses], statuses
+
+    crashed, statuses = asyncio.run(run_all("crashed", requests))
+    clean, _ = asyncio.run(run_all(
+        "clean", [dataclasses.replace(r, crash_tasks=()) for r in requests]))
+    for (status, _events), got, want in zip(statuses, crashed, clean):
+        assert status["state"] == "degraded"
+        assert status["pool_rebuilds"] >= 1
+        assert set(status["counts"]) <= {"ok", "retried"}
+        assert json.loads(got)["complete"] is True
+        assert got == want
 
 
 def test_exhausted_attempts_mark_task_lost(tmp_path):
