@@ -2,11 +2,14 @@
 
 Ticks every ~500 us (:attr:`CpuSpec.pcu_quantum_ns`, with a small timing
 jitter — the paper infers "regular intervals of about 500 us" driven by
-an external source). Each tick re-derives every active core's frequency
-(request, turbo bins, EPB, EET trim, AVX caps, TDP budget) and the
-uncore frequency (UFS), then applies changes after the voltage-ramp
-switching time. All cores of a socket change together; sockets tick on
+an external source). A tick grants every core's frequency (request,
+turbo bins, EPB, EET trim, AVX caps, TDP budget) and the uncore
+frequency (UFS), then applies changes after the voltage-ramp switching
+time. All cores of a socket change together; sockets tick on
 independent phases — exactly the behaviour FTaLaT measures in Fig. 3.
+The grants are derived afresh only when an input moved; a tick whose
+inputs are unchanged replays the cached derivation (see
+:meth:`Pcu._steady_tick`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.engine.simulator import Simulator
 from repro.pcu.avx import AvxUnit
 from repro.pcu.eet import EetController
 from repro.pcu.epb import Epb
-from repro.pcu.turbo import FrequencyDecision, TdpLimiter
+from repro.pcu.turbo import FrequencyDecision, SolvedPoint, TdpLimiter
 from repro.pcu.ufs import ufs_target_hz
 from repro.specs.cpu import CpuSpec
 from repro.units import us
@@ -31,6 +34,9 @@ if TYPE_CHECKING:
 
 # Tick-to-tick timing jitter of the grant opportunities.
 TICK_JITTER_NS = us(10)
+
+# What a tick under an unchanged control key has to redo (Pcu._steady_tick).
+_REPLAY, _NOOP, _GRANT = "replay", "noop", "grant"
 
 
 class Pcu:
@@ -52,6 +58,7 @@ class Pcu:
         self.avx_unit = AvxUnit(sim=sim,
                                 relax_delay_ns=self.spec.avx_relax_delay_ns)
         self.rng = spawn_rng(sim.rng)
+        self._tick_label = f"pcu-tick-s{socket.socket_id}"
         # Batched draw buffers over this PCU's stream. Tick jitter and
         # TDP dither are the two per-tick draw sites; prefilling them
         # block-wise replaces ~one generator call per tick with one per
@@ -81,12 +88,11 @@ class Pcu:
         # order = insertion order = the order per-core events had).
         self._apply_batches: dict[int, tuple[object, dict]] = {}
         self._pending_apply: dict[int, int] = {}   # core id -> fire time
-        self._tick_times: list[int] = []      # for tests/analysis
         self._eet_last_stall = 0.0
         self._eet_last_cycles = 0.0
         # Steady-state fast path: when the node epoch and every control
         # knob are unchanged since the last tick, the per-core target
-        # derivation is skipped and the limiter re-decides on the cached
+        # derivation is skipped and the limiter re-grants on the cached
         # inputs (consuming the same rng draws, so the event stream is
         # bit-identical either way).
         self.fastpath_enabled = (fastpath.enabled() if fastpath_enabled is None
@@ -98,6 +104,15 @@ class Pcu:
         self._ctrl_decide_targets: dict[int, float] = {}
         self._ctrl_activity = 0.0
         self._ctrl_ufs: float | None = None
+        # Steady-tick plan for the cached derivation; None = classify on
+        # the next steady tick. A grant-only plan keeps the solved point,
+        # the slowest and fastest active core frequency and one active
+        # core id.
+        self._steady_plan: str | None = None
+        self._steady_point: SolvedPoint | None = None
+        self._steady_lo_hz = 0.0
+        self._steady_hi_hz = 0.0
+        self._steady_core = 0
 
     # ---- lifecycle -------------------------------------------------------------
 
@@ -109,7 +124,7 @@ class Pcu:
             quantum = us(500)
         phase = int(self.rng.integers(0, quantum))
         self.sim.schedule_after(max(phase, 1), self._tick,
-                                label=f"pcu-tick-s{self.socket.socket_id}")
+                                label=self._tick_label)
         if self.spec.eet_poll_period_ns > 0:
             self.sim.schedule_every(self.spec.eet_poll_period_ns,
                                     self._eet_poll,
@@ -163,22 +178,14 @@ class Pcu:
             return 0.0
         return min(d_stall / d_cycles, 1.0)
 
-    def _stall_fraction(self) -> float:
-        """Instantaneous activity-weighted stall fraction (UFS input)."""
-        active = self.socket.active_cores()
-        if not active:
-            return 0.0
-        return sum(c.current_phase.stall_fraction for c in active) / len(active)
-
     def _tick(self, now_ns: int) -> None:
         self.tick_count += 1
-        self._tick_times.append(now_ns)
         self._control(now_ns)
         quantum = self.spec.pcu_quantum_ns or us(500)
         spread = TICK_JITTER_NS + self.extra_tick_jitter_ns
         jitter = int(self._jitter_batch.take(-spread, spread + 1))
         self.sim.schedule_after(max(quantum + jitter, 1), self._tick,
-                                label=f"pcu-tick-s{self.socket.socket_id}")
+                                label=self._tick_label)
 
     # ---- the control decision ---------------------------------------------------------
 
@@ -257,6 +264,81 @@ class Pcu:
         )
         self._apply_decision(decision, self._ctrl_targets)
 
+    def _steady_tick(self) -> None:
+        """A tick whose control key equals the cached derivation's.
+
+        The epoch has not moved since the last tick, so no core or
+        uncore state changed: the last tick's grants applied nothing
+        that landed, and the replay can differ from it only in the
+        dither of a TDP-bound point. Two classes of tick need less than
+        a full replay:
+
+        * **no-op** — a point that is not TDP-bound re-grants exactly
+          the last decision. With no apply pending and every core
+          already within the apply threshold of its grant, the replay
+          schedules nothing, and the uncore already runs at its grant
+          (setting it changed nothing last tick, or the epoch would
+          have moved). Only the MBVR selection remains: the regulator
+          is shared by the node, and both sockets overwrite it.
+        * **grant only** — a TDP-bound point with uniform active
+          targets gives every active core the same grant ``g``, and
+          ``|g - f|`` is below the threshold for every active core iff
+          it is at the slowest and the fastest one (``fl(g - f)`` is
+          monotone in ``f``). Within that window the apply pass is a
+          no-op apart from the draw; outside it, the grants apply.
+
+        Everything else replays in full. The plan is classified on the
+        first steady tick, so derivation and coalescing ticks pay
+        nothing for it.
+        """
+        plan = self._steady_plan or self._plan_steady()
+        if plan is _NOOP:
+            self._select_power_state()
+        elif plan is _GRANT:
+            decision = self.limiter.grant(self._steady_point,
+                                          self._ctrl_decide_targets,
+                                          self._dither_batch)
+            granted = decision.core_targets_hz[self._steady_core]
+            threshold = self._APPLY_THRESHOLD_HZ
+            if (abs(granted - self._steady_lo_hz) < threshold
+                    and abs(granted - self._steady_hi_hz) < threshold):
+                self.last_decision = decision
+                self._select_power_state()
+            else:
+                self._steady_plan = None     # applies are now pending
+                self._apply_decision(decision, self._ctrl_targets)
+        else:
+            self._replay_cached()
+
+    def _plan_steady(self) -> str:
+        """Classify the cached derivation for :meth:`_steady_tick`."""
+        if self._pending_apply:
+            return _REPLAY      # not kept: re-classify once they land
+        decide_targets = self._ctrl_decide_targets
+        targets = self._ctrl_targets
+        threshold = self._APPLY_THRESHOLD_HZ
+        cores = self.socket.cores
+        if not self.last_decision.tdp_bound:
+            grants = self.last_decision.core_targets_hz
+            plan = _NOOP if all(
+                abs(grants.get(c.core_id, targets[c.core_id]) - c.freq_hz)
+                < threshold for c in cores) else _REPLAY
+        elif len(set(decide_targets.values())) != 1 or any(
+                abs(targets[c.core_id] - c.freq_hz) >= threshold
+                for c in cores if c.core_id not in decide_targets):
+            plan = _REPLAY
+        else:
+            active = [c.freq_hz for c in cores if c.core_id in decide_targets]
+            self._steady_lo_hz = min(active)
+            self._steady_hi_hz = max(active)
+            self._steady_core = next(iter(decide_targets))
+            # The pure solve the derivation's decide ran (a memo hit).
+            self._steady_point = self.limiter.solve(
+                decide_targets, self._ctrl_activity, self._ctrl_ufs)
+            plan = _GRANT
+        self._steady_plan = plan
+        return plan
+
     def _control(self, now_ns: int) -> None:
         socket = self.socket
         socket.sync_package_state(self.node.any_core_active())
@@ -266,7 +348,7 @@ class Pcu:
         if self.fastpath_enabled:
             if key == self._ctrl_key:
                 # Steady state: nothing moved since the last tick.
-                self._replay_cached()
+                self._steady_tick()
                 return
             if self._ctrl_key is not None and key[1:] == self._ctrl_key[1:]:
                 # The epoch moved but every control knob is unchanged;
@@ -275,6 +357,7 @@ class Pcu:
                 sig = self._grant_signature()
                 if sig == self._ctrl_sig:
                     self._ctrl_key = key
+                    self._steady_plan = None
                     self._replay_cached()
                     return
 
@@ -342,6 +425,7 @@ class Pcu:
         self._ctrl_decide_targets = decide_targets
         self._ctrl_activity = activity_sum
         self._ctrl_ufs = ufs_target
+        self._steady_plan = None
         self._apply_decision(decision, targets)
 
     def _apply_decision(self, decision: FrequencyDecision,
@@ -366,7 +450,10 @@ class Pcu:
                     "uncore-apply", from_hz=socket.uncore.freq_hz,
                     to_hz=uncore_hz, tdp_bound=decision.tdp_bound)
             socket.uncore.set_frequency(uncore_hz)
+        self._select_power_state()
 
+    def _select_power_state(self) -> None:
+        socket = self.socket
         breakdown = socket.last_breakdown
         estimated_w = breakdown.package_w if breakdown is not None \
             else socket.evaluate_power().package_w

@@ -46,6 +46,16 @@ class FrequencyDecision:
     tdp_bound: bool
 
 
+@dataclass(frozen=True)
+class SolvedPoint:
+    """The pure part of a decision: the budget split before dither."""
+
+    core_hz: float | None       # common core grant; None = no core grants
+    uncore_hz: float | None     # None = clock halted
+    tdp_bound: bool
+    f_common_hz: float          # fastest target (the dither's ceiling)
+
+
 class TdpLimiter:
     """Computes frequency grants under the package power budget."""
 
@@ -54,12 +64,12 @@ class TdpLimiter:
         self.spec = spec
         self.power_model = power_model
         self.budget_w = budget_w if budget_w is not None else spec.tdp_w
-        # The decision is a pure function of its inputs except for the
-        # dither; workloads present a small rotating set of (target,
-        # activity, ufs) points — steady fleets one, phase-cycling
-        # fleets one per phase mix — so memoize the expensive brentq
-        # solve per input point and re-dither on top. A single-entry
-        # cache thrashes as soon as two phase mixes alternate.
+        # The solve is a pure function of its inputs; workloads present
+        # a small rotating set of (target, activity, ufs) points —
+        # steady fleets one, phase-cycling fleets one per phase mix —
+        # so memoize the expensive brentq solve per input point and
+        # re-dither on top (:meth:`grant`). A single-entry cache
+        # thrashes as soon as two phase mixes alternate.
         self._solve_memo: dict[tuple, tuple[float, float, bool]] = {}
 
     _SOLVE_MEMO_MAX = 128
@@ -93,15 +103,21 @@ class TdpLimiter:
         ufs_target_hz: float | None,
         rng: "np.random.Generator | DrawBatch | None" = None,
     ) -> FrequencyDecision:
+        """One tick's grants: the pure :meth:`solve` plus the dithered
+        :meth:`grant` on top."""
+        return self.grant(self.solve(targets_hz, activity_sum, ufs_target_hz),
+                          targets_hz, rng)
+
+    def solve(self, targets_hz: dict[int, float], activity_sum: float,
+              ufs_target_hz: float | None) -> SolvedPoint:
+        """The budget split for these inputs, before dither (pure)."""
         spec = self.spec
         if ufs_target_hz is None:
             # Package sleeping: no active cores by definition.
-            return FrequencyDecision(core_targets_hz={}, uncore_hz=None,
-                                     tdp_bound=False)
+            return SolvedPoint(None, None, False, 0.0)
         ufs_cap = min(ufs_target_hz, spec.uncore_max_hz)
         if not targets_hz:
-            return FrequencyDecision(core_targets_hz={}, uncore_hz=ufs_cap,
-                                     tdp_bound=False)
+            return SolvedPoint(None, ufs_cap, False, 0.0)
 
         budget = self.budget_w
         f_common = max(targets_hz.values())
@@ -109,16 +125,29 @@ class TdpLimiter:
         key = (round(f_common), round(activity_sum, 6), round(ufs_cap), budget)
         memo = self._solve_memo
         hit = memo.get(key)
-        if hit is not None:
-            f_core, f_uncore, tdp_bound = hit
-        else:
-            f_core, f_uncore, tdp_bound = self._solve(
-                f_common, activity_sum, ufs_cap, budget)
+        if hit is None:
+            hit = self._solve(f_common, activity_sum, ufs_cap, budget)
             if len(memo) >= self._SOLVE_MEMO_MAX:
                 memo.clear()
-            memo[key] = (f_core, f_uncore, tdp_bound)
+            memo[key] = hit
+        f_core, f_uncore, tdp_bound = hit
+        return SolvedPoint(f_core, f_uncore, tdp_bound, f_common)
 
-        if tdp_bound and rng is not None:
+    def grant(self, point: SolvedPoint, targets_hz: dict[int, float],
+              rng: "np.random.Generator | DrawBatch | None" = None,
+              ) -> FrequencyDecision:
+        """Grants for ``targets_hz`` at a solved point.
+
+        The only place a decision draws: a TDP-bound point takes one
+        dither draw per call, so every caller consumes the same stream
+        at the same ledger site.
+        """
+        f_core = point.core_hz
+        if f_core is None:
+            return FrequencyDecision(core_targets_hz={},
+                                     uncore_hz=point.uncore_hz,
+                                     tdp_bound=False)
+        if point.tdp_bound and rng is not None:
             # The PCU hands in a batched buffer; callers with a bare
             # generator (tuning scripts, tests) draw directly. Same
             # distribution, same one-draw-per-decision ledger footprint.
@@ -126,11 +155,15 @@ class TdpLimiter:
                 dither = float(rng.take(0.0, DITHER_SIGMA_HZ))
             else:
                 dither = float(rng.normal(0.0, DITHER_SIGMA_HZ))
-            f_core = min(max(f_core + dither, spec.min_hz), f_common)
+            f_core = min(max(f_core + dither, self.spec.min_hz),
+                         point.f_common_hz)
 
-        grants = {cid: min(t, f_core) for cid, t in targets_hz.items()}
-        return FrequencyDecision(core_targets_hz=grants, uncore_hz=f_uncore,
-                                 tdp_bound=tdp_bound)
+        # min(t, f_core), spelled out: this runs on every TDP-bound tick.
+        grants = {cid: f_core if f_core < t else t
+                  for cid, t in targets_hz.items()}
+        return FrequencyDecision(core_targets_hz=grants,
+                                 uncore_hz=point.uncore_hz,
+                                 tdp_bound=point.tdp_bound)
 
     def _solve(self, f_common: float, activity_sum: float, ufs_cap: float,
                budget: float) -> tuple[float, float, bool]:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine.simulator import Simulator
 from repro.pcu.epb import Epb
+from repro.pcu.pcu import Pcu
 from repro.specs.node import HASWELL_TEST_NODE, SANDY_BRIDGE_TEST_NODE
 from repro.system.core import AvxLicense
 from repro.system.node import build_node
@@ -13,6 +14,26 @@ from repro.workloads.firestarter import firestarter
 from repro.workloads.micro import busy_wait, dgemm, while1_spin
 
 from tests.conftest import all_core_ids
+
+
+@pytest.fixture
+def tick_times(monkeypatch) -> tuple[Simulator, dict[int, list[int]]]:
+    """A Haswell node whose PCU ticks are logged per socket.
+
+    The spy is installed before the node is built, so even the first
+    tick each PCU schedules is recorded.
+    """
+    times: dict[int, list[int]] = {0: [], 1: []}
+    tick = Pcu._tick
+
+    def spy(pcu, now_ns):
+        times[pcu.socket.socket_id].append(now_ns)
+        tick(pcu, now_ns)
+
+    monkeypatch.setattr(Pcu, "_tick", spy)
+    sim = Simulator(seed=1234)
+    build_node(sim, HASWELL_TEST_NODE)
+    return sim, times
 
 
 class TestPstateGrants:
@@ -38,20 +59,21 @@ class TestPstateGrants:
         times = {name: t for name, t in changes}
         assert times["c0"] == times["c1"]
 
-    def test_cross_socket_phases_independent(self, sim, haswell):
+    def test_cross_socket_phases_independent(self, tick_times):
         # sockets tick on independent grant grids (Section VI-A: cores on
         # different processors transition independently)
+        sim, ticks = tick_times
         sim.run_for(ms(20))
-        t0 = np.asarray(haswell.pcus[0]._tick_times)
-        t1 = np.asarray(haswell.pcus[1]._tick_times)
+        t0 = np.asarray(ticks[0])
+        t1 = np.asarray(ticks[1])
         n = min(len(t0), len(t1))
         offsets = np.abs(t0[:n] - t1[:n])
         assert offsets.min() > us(20)
 
-    def test_pcu_ticks_quantized_at_500us(self, sim, haswell):
+    def test_pcu_ticks_quantized_at_500us(self, tick_times):
+        sim, ticks = tick_times
         sim.run_for(ms(20))
-        ticks = np.asarray(haswell.pcus[0]._tick_times)
-        gaps = np.diff(ticks)
+        gaps = np.diff(np.asarray(ticks[0]))
         assert np.abs(gaps - us(500)).max() <= us(10)
 
     def test_sandybridge_applies_immediately(self):

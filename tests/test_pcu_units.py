@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import sanitize
 from repro.errors import ConfigurationError
 from repro.pcu.eet import EetController
 from repro.pcu.epb import CANONICAL_ENCODING, Epb, decode_epb, encode_epb
@@ -222,6 +223,33 @@ class TestTdpLimiter:
         decision = limiter.decide({}, activity_sum=0.0, ufs_target_hz=None)
         assert decision.uncore_hz is None
         assert decision.core_targets_hz == {}
+
+    def test_decide_is_grant_of_solve(self, limiter):
+        """decide == grant(solve(...)), bit for bit and draw for draw,
+        over every branch: TDP-bound, near budget, headroom, a
+        uniform and a mixed target set, no targets, sleeping."""
+        cases = [
+            ({i: ghz(2.8) for i in range(12)}, 12.0, ghz(3.0)),
+            ({i: ghz(2.8) - 1e6 * i for i in range(12)}, 12.0, ghz(3.0)),
+            ({i: ghz(2.3) for i in range(12)}, 12.0, ghz(3.0)),
+            ({i: ghz(2.2) for i in range(12)}, 12.0, ghz(3.0)),
+            ({0: ghz(2.5)}, 0.12, ghz(2.2)),
+            ({}, 0.0, ghz(1.9)),
+            ({}, 0.0, None),
+        ] * 3
+        whole = sanitize.wrap_rng(np.random.default_rng(11),
+                                  sanitize.DrawLedger())
+        split = sanitize.wrap_rng(np.random.default_rng(11),
+                                  sanitize.DrawLedger())
+        for targets, activity, ufs in cases:
+            decided = limiter.decide(targets, activity, ufs, rng=whole)
+            granted = limiter.grant(limiter.solve(targets, activity, ufs),
+                                    targets, rng=split)
+            assert decided == granted
+        ledger_whole = sanitize.ledger_of(whole)
+        ledger_split = sanitize.ledger_of(split)
+        assert ledger_whole.total_draws == ledger_split.total_draws == 6
+        assert ledger_whole.entries == ledger_split.entries
 
     def test_dither_keeps_median_on_solution(self, limiter):
         rng = np.random.default_rng(5)

@@ -5,12 +5,16 @@ Three properties guard the optimization (docs/performance.md):
 1. every rate-changing mutation bumps the socket epoch (and the node
    epoch through the parent chain), while idempotent writes do not;
 2. the cached fast path is bit-identical to the uncached slow path —
-   including under an armed chaos fault plan;
+   including under an armed chaos fault plan, and through steady PCU
+   ticks both below and at the TDP budget (state, MBVR power state and
+   RNG draw ledger);
 3. a parallel (``jobs=4``) experiment suite reports exactly what the
    serial suite reports.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -18,12 +22,14 @@ from repro.cstates.states import CState
 from repro.engine.simulator import Simulator
 from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.faults import chaos
+from repro.pcu.pcu import Pcu
 from repro.specs.node import HASWELL_TEST_NODE
 from repro.system.core import AvxLicense
 from repro.system.node import Node, build_haswell_node, build_node
-from repro.units import NS_PER_S, us
+from repro.units import NS_PER_S, ms, us
 from repro.workloads import micro
 from repro.workloads.base import Workload, WorkloadPhase
+from repro.workloads.firestarter import firestarter
 
 
 def _node() -> tuple[Simulator, Node]:
@@ -139,19 +145,12 @@ class TestEpochBumps:
 
 
 # ---- 2. fast/slow parity ----------------------------------------------------
+# Each input drives a fresh node through mid-run mutations; the fast and
+# slow runs must leave every observable surface bit-identical.
 
 
-def _run_scenario(fastpath: bool, chaos_seed: int | None = None) -> dict:
-    """A mixed scenario with mid-run mutations; returns every observable
-    counter/energy surface for exact comparison."""
-    if chaos_seed is not None:
-        chaos.activate(chaos_seed)
-    try:
-        sim, node = build_haswell_node(seed=99173)
-    finally:
-        if chaos_seed is not None:
-            chaos.deactivate()
-    node.set_fastpath(fastpath)
+def _mixed(sim: Simulator, node: Node) -> dict:
+    """dgemm plus a phase-cycling fleet, a p-state change, then a stop."""
     ids = [c.core_id for c in node.all_cores]
     node.run_workload(ids[:8], micro.dgemm())
     node.run_workload(ids[8:16], _phasey_workload())
@@ -160,32 +159,114 @@ def _run_scenario(fastpath: bool, chaos_seed: int | None = None) -> dict:
     sim.run_for(int(0.06 * NS_PER_S))
     node.stop_workload(ids[8:16])
     sim.run_for(int(0.08 * NS_PER_S))
+    return {}
 
-    out: dict = {"ac_energy_j": node.ac_energy_j}
+
+def _settled_firestarter(start_hz: float | None, moved: slice,
+                         mid_hz: float):
+    """FIRESTARTER on all 24 cores settles into steady PCU ticks (the
+    control key stops moving), then the ``moved`` cores get a new
+    p-state and the node settles again.
+
+    The MBVR power state is sampled every 50 us at the end: both
+    sockets overwrite the node-shared regulator on every tick, so a
+    socket that skipped its selection shows up as a different sequence
+    whenever the two sockets' loads sit on opposite sides of a
+    threshold.
+    """
+    def drive(sim: Simulator, node: Node) -> dict:
+        ids = [c.core_id for c in node.all_cores]
+        node.run_workload(ids, firestarter())
+        node.set_pstate(ids, start_hz)
+        sim.run_for(ms(40))
+        node.set_pstate(ids[moved], mid_hz)
+        sim.run_for(ms(30))
+        states = []
+        for _ in range(200):
+            sim.run_for(us(50))
+            states.append(node.mbvr.power_state)
+        return {"mbvr-samples": states}
+    return drive
+
+
+def _run_scenario(fastpath: bool, drive=_mixed,
+                  chaos_seed: int | None = None) -> dict:
+    """Every observable counter/energy/operating-point surface after
+    ``drive``, plus the RNG draw ledger when the sanitizer is on."""
+    if chaos_seed is not None:
+        chaos.activate(chaos_seed)
+    try:
+        sim, node = build_haswell_node(seed=99173)
+    finally:
+        if chaos_seed is not None:
+            chaos.deactivate()
+    node.set_fastpath(fastpath)
+    out = drive(sim, node)
+    out.update(ac_energy_j=node.ac_energy_j, mbvr=node.mbvr.power_state)
     from repro.cstates.states import PackageCState
     for s in node.sockets:
         for c in s.cores:
             out[f"core{c.core_id}"] = c.counters.snapshot()
             out[f"core{c.core_id}-res"] = dict(c.counters.cstate_residency_ns)
+            out[f"core{c.core_id}-op"] = (c.freq_hz, c.requested_hz,
+                                          c.cstate, c.avx_license)
+        out[f"s{s.socket_id}-uncore"] = s.uncore.freq_hz
         out[f"s{s.socket_id}-rapl"] = {
             d.name: s.rapl.true_energy_j(d) for d in s.rapl._energy_j}
         out[f"s{s.socket_id}-pkg"] = {
             p.name: s.package_residency_ns(p) for p in PackageCState}
+    if sim.ledger is not None:
+        out["ledger"] = [tuple(entry) for entry in sim.ledger.entries]
     return out
+
+
+def _assert_parity(drive=_mixed, chaos_seed: int | None = None) -> dict:
+    fast = _run_scenario(True, drive, chaos_seed)
+    slow = _run_scenario(False, drive, chaos_seed)
+    mismatched = [k for k in fast if fast[k] != slow[k]]
+    assert not mismatched, f"fast path diverged on {mismatched}"
+    return fast
+
+
+@pytest.fixture
+def steady_plans(monkeypatch) -> Counter:
+    """Counts the steady-tick plans the fast path classifies, so a
+    steady input proves it reached the branch it exists to cover."""
+    seen: Counter = Counter()
+    plan_steady = Pcu._plan_steady
+
+    def spy(pcu):
+        plan = plan_steady(pcu)
+        seen[plan] += 1
+        return plan
+    monkeypatch.setattr(Pcu, "_plan_steady", spy)
+    return seen
 
 
 class TestFastSlowParity:
     def test_bit_identical_without_chaos(self):
-        fast = _run_scenario(fastpath=True)
-        slow = _run_scenario(fastpath=False)
-        mismatched = [k for k in fast if fast[k] != slow[k]]
-        assert not mismatched, f"fast path diverged on {mismatched}"
+        _assert_parity()
 
     def test_bit_identical_under_chaos(self):
-        fast = _run_scenario(fastpath=True, chaos_seed=20150406)
-        slow = _run_scenario(fastpath=False, chaos_seed=20150406)
-        mismatched = [k for k in fast if fast[k] != slow[k]]
-        assert not mismatched, f"fast path diverged under chaos: {mismatched}"
+        _assert_parity(chaos_seed=20150406)
+
+    def test_steady_ticks_tdp_bound(self, monkeypatch, steady_plans):
+        """FIRESTARTER at turbo: steady ticks are grant-only (one dither
+        draw each), whose draws the sanitizer ledger pins by site."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        fast = _assert_parity(_settled_firestarter(None, slice(6), 2.2e9))
+        assert fast["ledger"], "no RNG draws recorded"
+        assert steady_plans["grant"] > 0, dict(steady_plans)
+
+    def test_steady_ticks_below_tdp_budget(self, monkeypatch, steady_plans):
+        """Below the budget, steady ticks are no-ops apart from the
+        node-shared MBVR selection; slowing socket 1 to 1.2 GHz puts
+        the sockets on opposite sides of an MBVR threshold."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        fast = _assert_parity(_settled_firestarter(2.1e9, slice(12, None),
+                                                   1.2e9))
+        assert len(set(fast["mbvr-samples"])) > 1, "MBVR never switched"
+        assert steady_plans["noop"] > 0, dict(steady_plans)
 
     def test_env_knob_disables_fastpath(self, monkeypatch):
         from repro.engine import fastpath
