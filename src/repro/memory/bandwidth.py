@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.memory.latency import dram_latency_ns
 from repro.specs.cpu import CpuSpec
@@ -225,73 +223,6 @@ class SocketBandwidthModel:
             dram_throttle=dram_scale,
         )
 
-    def solve_soa(
-        self,
-        f_core_hz: np.ndarray,           # float64, one entry per active core
-        n_threads: np.ndarray,           # int64, already max(n, 1)
-        l3_bytes_per_cycle: np.ndarray,
-        dram_bytes_per_cycle: np.ndarray,
-        f_uncore_hz: float,
-    ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Vectorized three-limit law over active-core SoA columns.
-
-        Bit-identical to :meth:`solve` by construction, which the socket
-        integrator's sanitize cross-check and the vectorization parity
-        tests both enforce:
-
-        * every elementwise expression mirrors the scalar operation
-          structure (same associativity, same clamp order), so each lane
-          computes the identical float64 sequence;
-        * cores without demand contribute exact ``+0.0`` terms, which is
-          bitwise equivalent to the scalar path's dict-absence (all
-          achieved bandwidths are non-negative);
-        * the socket totals replicate the scalar left-to-right fold —
-          numpy's pairwise ``sum`` would differ in the last ulp.
-
-        Returns ``(l3_bytes_per_s, dram_bytes_per_s, total_l3_gbs,
-        total_dram_gbs)`` with the arrays aligned to the input columns.
-        """
-        cfg = self.config
-        fu_ghz = to_ghz(f_uncore_hz)
-        n_l3_active = int(np.count_nonzero(l3_bytes_per_cycle > 0.0))
-
-        # L3 issue limit (see l3_issue_limit_bytes_per_s).
-        ratio = f_core_hz / max(f_uncore_hz, 1.0)
-        issue = (cfg.l3_bytes_per_core_cycle * f_core_hz
-                 / (1.0 + cfg.l3_kappa * ratio))
-        want_l3 = l3_bytes_per_cycle * f_core_hz
-        eff = 1.0 - cfg.l3_low_n_penalty / max(n_l3_active, 1)
-        l3_val = np.minimum(want_l3, issue) * eff
-
-        # DRAM concurrency limit (see dram_mlp_limit_bytes_per_s /
-        # memory.latency.dram_latency_ns). The uncore latency term is
-        # core-invariant, so it is one scalar pow.
-        f_u = max(to_ghz(f_uncore_hz), 1e-3)
-        f_c = np.maximum(to_ghz(f_core_hz), 1e-3)
-        latency = (self._uncore_latency_ns(f_u)
-                   + cfg.dram_core_overhead_cycles / f_c)
-        mlp = cfg.lfb_per_core * (
-            1.0 + cfg.ht_mlp_boost * (np.minimum(n_threads, 2) - 1))
-        dram_limit = mlp * 64.0 / (latency * 1e-9)
-        want_dram = dram_bytes_per_cycle * f_core_hz
-        dram_val = np.minimum(want_dram, dram_limit)
-
-        l3_capacity = cfg.l3_transport_gbs_per_uncore_ghz * fu_ghz * 1e9
-        dram_capacity = min(cfg.dram_peak_gbs,
-                            cfg.dram_gbs_per_uncore_ghz * fu_ghz) * 1e9
-
-        l3_total = sum(l3_val.tolist())
-        dram_total = sum(dram_val.tolist())
-        l3_scale = min(1.0, l3_capacity / l3_total) if l3_total > 0 else 1.0
-        dram_scale = min(1.0, dram_capacity / dram_total) \
-            if dram_total > 0 else 1.0
-
-        l3_achieved = l3_val * l3_scale
-        dram_achieved = dram_val * dram_scale
-        total_l3_gbs = sum(l3_achieved.tolist()) / 1e9
-        total_dram_gbs = sum(dram_achieved.tolist()) / 1e9
-        return l3_achieved, dram_achieved, total_l3_gbs, total_dram_gbs
-
     def solve_uniform(
         self,
         n: int,                          # identical active cores
@@ -301,16 +232,16 @@ class SocketBandwidthModel:
         dram_bytes_per_cycle: float,
         f_uncore_hz: float,
     ) -> tuple[float, float, float, float]:
-        """One-lane :meth:`solve_soa` for ``n`` identical active cores.
+        """:meth:`solve` for ``n`` identical active cores.
 
         Lockstep fleets (every active core at the same frequency, phase
         and thread count — the tick-heavy benchmark, gang-scheduled HPC
-        workloads) collapse the SoA solve to a single scalar lane. Every
-        expression repeats :meth:`solve_soa` verbatim on scalars
-        (elementwise float64 ops are bit-identical either way), and the
-        socket totals replay the left-to-right fold over ``n`` equal
-        per-core terms rather than multiplying — ``n * v`` differs from
-        ``v + v + ...`` in the last ulp.
+        workloads) collapse the per-core solve to a single scalar lane.
+        Every expression repeats the per-demand law of :meth:`solve`
+        (inlining the issue and MLP limits) with the same associativity,
+        and the socket totals replay the left-to-right fold over ``n``
+        equal per-core terms rather than multiplying — ``n * v`` differs
+        from ``v + v + ...`` in the last ulp.
 
         Returns ``(l3_bytes_per_s, dram_bytes_per_s, total_l3_gbs,
         total_dram_gbs)`` with the per-core rates as scalars.

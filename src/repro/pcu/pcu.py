@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine import fastpath
 from repro.engine.rng import DrawBatch, spawn_rng
 from repro.errors import ConfigurationError
 from repro.engine.simulator import Simulator
@@ -45,8 +44,7 @@ class Pcu:
     def __init__(self, sim: Simulator, socket: "Socket", node: "Node",
                  epb: Epb = Epb.BALANCED, turbo_enabled: bool = True,
                  eet_enabled: bool = True,
-                 budget_w: float | None = None,
-                 fastpath_enabled: bool | None = None) -> None:
+                 budget_w: float | None = None) -> None:
         self.sim = sim
         self.socket = socket
         self.node = node
@@ -94,12 +92,10 @@ class Pcu:
         # knob are unchanged since the last tick, the per-core target
         # derivation is skipped and the limiter re-grants on the cached
         # inputs (consuming the same rng draws, so the event stream is
-        # bit-identical either way).
-        self.fastpath_enabled = (fastpath.enabled() if fastpath_enabled is None
-                                 else fastpath_enabled)
+        # bit-identical either way). Node.set_fastpath toggles it.
+        self.fastpath_enabled = True
         self._epoch = getattr(node, "epoch", None) or socket.epoch
         self._ctrl_key: tuple | None = None
-        self._ctrl_sig: tuple | None = None
         self._ctrl_targets: dict[int, float] = {}
         self._ctrl_decide_targets: dict[int, float] = {}
         self._ctrl_activity = 0.0
@@ -222,33 +218,6 @@ class Pcu:
                 self.eet.trim_hz, self.prochot_cap_hz, self.limiter.budget_w,
                 self.uncore_limit_min_hz, self.uncore_limit_max_hz)
 
-    def _grant_signature(self) -> tuple:
-        """Content image of the grant-relevant core/uncore state.
-
-        The epoch in :meth:`_control_key` is a conservative proxy: any
-        mutation anywhere bumps it, so churn-heavy workloads (phase
-        flips every few hundred microseconds) never see two ticks under
-        one epoch even when the control inputs cycled back to a point
-        already derived. This signature captures the inputs themselves —
-        per-core request/grant/AVX-cap/activity/stall and the package
-        state — so equal signatures (with equal control knobs) imply
-        byte-equal targets, decide inputs and UFS target, and the cached
-        derivation can be replayed across epochs.
-        """
-        socket = self.socket
-        parts: list = [socket.package_cstate,
-                       self.node.system_fastest_setting()]
-        for core in socket.cores:
-            phase = core.current_phase
-            if core.is_active and phase is not None and phase.active:
-                parts.append((core.requested_hz, core.freq_hz,
-                              core.avx_license.avx_capped or phase.uses_avx,
-                              phase.power_activity, phase.stall_fraction))
-            else:
-                parts.append((core.requested_hz,
-                              core.avx_license.avx_capped))
-        return tuple(parts)
-
     def _replay_cached(self) -> None:
         """Re-issue the cached derivation's grants.
 
@@ -288,8 +257,7 @@ class Pcu:
           no-op apart from the draw; outside it, the grants apply.
 
         Everything else replays in full. The plan is classified on the
-        first steady tick, so derivation and coalescing ticks pay
-        nothing for it.
+        first steady tick, so derivation ticks pay nothing for it.
         """
         plan = self._steady_plan or self._plan_steady()
         if plan is _NOOP:
@@ -344,22 +312,10 @@ class Pcu:
         socket.sync_package_state(self.node.any_core_active())
 
         key = self._control_key()
-        sig: tuple | None = None
-        if self.fastpath_enabled:
-            if key == self._ctrl_key:
-                # Steady state: nothing moved since the last tick.
-                self._steady_tick()
-                return
-            if self._ctrl_key is not None and key[1:] == self._ctrl_key[1:]:
-                # The epoch moved but every control knob is unchanged;
-                # coalesce if the grant inputs themselves cycled back to
-                # the cached operating point (tick-heavy churn).
-                sig = self._grant_signature()
-                if sig == self._ctrl_sig:
-                    self._ctrl_key = key
-                    self._steady_plan = None
-                    self._replay_cached()
-                    return
+        if self.fastpath_enabled and key == self._ctrl_key:
+            # Steady state: nothing moved since the last tick.
+            self._steady_tick()
+            return
 
         active = socket.active_cores()
         n_active = max(len(active), 1)
@@ -411,16 +367,10 @@ class Pcu:
             ufs_target_hz=ufs_target,
             rng=self._dither_batch,
         )
-        # Cache the derivation under the key and signature observed
-        # *before* this tick mutated anything (applying grants bumps the
-        # epoch, forcing one more full derivation — conservative and
-        # correct). `sig` is only non-None when the control knobs were
-        # stable this tick; when a knob moved (EET trim drift, EPB
-        # write) the signature could not be consulted next tick anyway
-        # until the knobs settle, so skip computing it — a None
-        # signature just forces the (bit-identical) full derivation.
+        # Cache the derivation under the key observed *before* this tick
+        # mutated anything (applying grants bumps the epoch, forcing one
+        # more full derivation — conservative and correct).
         self._ctrl_key = key
-        self._ctrl_sig = sig
         self._ctrl_targets = targets
         self._ctrl_decide_targets = decide_targets
         self._ctrl_activity = activity_sum

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from repro.errors import ConfigurationError
@@ -76,21 +75,6 @@ class PowerModel:
         if not (0.0 <= activity <= 1.2):
             raise ConfigurationError(f"activity {activity} outside [0, 1.2]")
         return self.spec.power.core_dyn_w_per_ghz_v2 * activity * self._g_core(f_hz)
-
-    def core_power_w_array(self, f_hz: np.ndarray,
-                           activity: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`core_power_w` over per-core float64 arrays.
-
-        Bit-identical per lane to the scalar path (same expression
-        associativity: ``(coef * activity) * ((f/1e9 * v) * v)``); the
-        socket integrator relies on this to keep the vectorized segment
-        rates byte-equal to the scalar reference.
-        """
-        if np.any((activity < 0.0) | (activity > 1.2)):
-            raise ConfigurationError("activity outside [0, 1.2]")
-        v = self._vf_core.voltage_array(f_hz)
-        g = to_ghz(f_hz) * v * v
-        return self.spec.power.core_dyn_w_per_ghz_v2 * activity * g
 
     def uncore_power_w(self, f_u_hz: float, halted: bool = False) -> float:
         """Uncore (ring, L3, IMC logic) power; zero when clock is halted."""

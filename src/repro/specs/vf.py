@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.units import to_ghz
 
@@ -41,15 +39,6 @@ class VfCurve:
         """Supply voltage (V) for frequency ``f_hz``, clamped to the range."""
         # Hot path (called per power evaluation): scalar min/max, not np.clip.
         f = min(max(f_hz, self.f_min_hz), self.f_max_hz)
-        return self.v0 + self.v1 * to_ghz(f) + self.offset_v
-
-    def voltage_array(self, f_hz: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`voltage` over a float64 frequency array.
-
-        Bit-identical per lane: same clamp order (max before min), same
-        affine expression associativity as the scalar path.
-        """
-        f = np.minimum(np.maximum(f_hz, self.f_min_hz), self.f_max_hz)
         return self.v0 + self.v1 * to_ghz(f) + self.offset_v
 
     def with_offset(self, offset_v: float) -> "VfCurve":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine import fastpath
 from repro.engine.epoch import EpochCell
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -53,7 +52,7 @@ class Node:
         self.epoch = EpochCell()
         for socket in self.sockets:
             socket.epoch.parent = self.epoch
-        self.fastpath_enabled = fastpath.enabled()
+        self.fastpath_enabled = True
         # Cross-socket (QPI) link health; NUMA-link faults degrade it and
         # placement studies consult it via NumaBandwidthModel.
         self.link_derate = LinkDerate()

@@ -12,10 +12,10 @@ rates — frequency grants, phase swaps, c-state transitions, AVX-license
 changes, uncore frequency/halt; see :mod:`repro.engine.epoch`) and the
 per-core accumulation is a single vectorized multiply-add into the
 structure-of-arrays counter matrix. This is the difference between
-O(events x cores x models) and O(events) for the common case. Setting
-``fastpath_enabled = False`` (or ``REPRO_FASTPATH=0``) recomputes every
-segment from scratch; both paths are bit-identical by construction and
-by test (``tests/test_perf_fastpath.py``).
+O(events x cores x models) and O(events) for the common case.
+``Node.set_fastpath(False)`` recomputes every segment from scratch; both
+paths are bit-identical by construction and by test
+(``tests/test_perf_fastpath.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.cstates.states import CState, PackageCState, resolve_package_cstate
 from repro.engine.epoch import EpochCell
-from repro.engine import fastpath, sanitize
+from repro.engine import sanitize
 from repro.errors import EpochConsistencyError
 from repro.memory.bandwidth import BandwidthDemand, SocketBandwidthModel
 from repro.power.fivr import Fivr
@@ -123,16 +123,14 @@ class Socket:
     # last evaluated instantaneous breakdown (for meters/PCU)
     last_breakdown: SocketPowerBreakdown | None = None
     package_cstate: PackageCState = PackageCState.PC0
-    # steady-state fast path; None = process default (repro.engine.fastpath)
-    fastpath_enabled: bool | None = None
+    # steady-state fast path (Node.set_fastpath toggles it)
+    fastpath_enabled: bool = True
     # epoch-consistency sanitizer; None = process default (engine.sanitize)
     sanitize_enabled: bool | None = None
     _residency_pkg_ns: dict[PackageCState, int] = field(
         default_factory=lambda: {s: 0 for s in PackageCState})
 
     def __post_init__(self) -> None:
-        if self.fastpath_enabled is None:
-            self.fastpath_enabled = fastpath.enabled()
         if self.sanitize_enabled is None:
             self.sanitize_enabled = sanitize.enabled()
         self._sanitize_segments = 0
@@ -146,7 +144,6 @@ class Socket:
         self._cnt_data = np.zeros((_N_FIELD_ROWS, n), dtype=np.float64)
         self._cnt_res = np.zeros((len(CSTATE_ROW), n), dtype=np.int64)
         self._cnt_scratch = np.empty_like(self._cnt_data)
-        self._res_cols = np.arange(n, dtype=np.intp)
         self._cnt_res_flat = self._cnt_res.reshape(-1)   # shared view
         self._last_dc_w = 0.0   # package+dram W of the last segment
         for j, core in enumerate(self.cores):
@@ -293,11 +290,13 @@ class Socket:
     def _compute_rates_scalar(self) -> "_SegmentRates":
         """Reference (per-core scalar) segment-rate computation.
 
-        Kept as the ground truth the vectorized path is proven against:
-        the sanitize-mode epoch check cross-compares both on sampled
-        segments, and the vectorization parity tests assert exact
-        equality over randomized operating points. Not used on the hot
-        path.
+        The ground truth the idle and uniform lanes of
+        :meth:`_rates_from_key` are proven against: the sanitize-mode
+        epoch check cross-compares both on sampled segments, and
+        ``tests/test_rate_parity.py`` asserts exact equality over seeded
+        operating points. It also serves every mixed (non-uniform)
+        operating point, which is rare enough on every benchmarked
+        workload that no vectorized lane is kept for it.
         """
         bw = self.bw_model.solve(self._demands(), self.uncore.freq_hz)
         nominal = self.spec.nominal_hz
@@ -346,16 +345,11 @@ class Socket:
         )
 
     def _compute_rates(self) -> "_SegmentRates":
-        """Segment rates, vectorized across cores over the SoA matrices.
+        """Segment rates for the current operating point, uncached.
 
-        Evaluates the IPC, bandwidth and power laws with elementwise
-        numpy ops whose expression structure mirrors the scalar
-        reference exactly — elementwise float64 ops are bit-identical to
-        the equivalent scalar arithmetic, and every cross-core reduction
-        replicates the reference's left-to-right fold. The result is
-        byte-equal to :meth:`_compute_rates_scalar` (enforced by the
-        sanitize cross-check and the parity tests), just cheaper when
-        many cores are active.
+        Byte-equal to :meth:`_compute_rates_scalar` (enforced by the
+        sanitize cross-check and the rate-parity tests); cheaper when
+        the socket is idle or every active core shares one lane.
         """
         return self._rates_from_key(self._gather_key())
 
@@ -365,26 +359,29 @@ class Socket:
         The memo key is a complete image of every input (uncore point
         plus one lane tuple or c-state per core), so a miss reads the
         key instead of re-walking the cores: one core walk serves both
-        the memo probe and the recompute.
+        the memo probe and the recompute. A mixed operating point
+        falls back to :meth:`_compute_rates_scalar`, which re-reads the
+        live cores the key was just gathered from.
         """
         fu = key[0]
         halted = key[1]
-        rate_matrix = self._matrix_template.copy()
         c0_row = _C0_RES_ROW
         res_list: list[int] = []
-        active: list[tuple[int, tuple]] = []   # (column, lane)
+        cols: list[int] = []                   # active core columns
         lane0: tuple | None = None
         uniform = True
         for j, part in enumerate(key[2:]):
             if type(part) is tuple:
                 res_list.append(c0_row)
-                active.append((j, part))
+                cols.append(j)
                 if lane0 is None:
                     lane0 = part
                 elif uniform and part != lane0:
                     uniform = False
             else:
                 res_list.append(CSTATE_ROW[part])
+        if not uniform:
+            return self._compute_rates_scalar()
         res_key = tuple(res_list)
         res_rows = self._res_rows_cache.get(res_key)
         if res_rows is None:
@@ -393,7 +390,8 @@ class Socket:
             res_rows = np.array(res_list, dtype=np.intp)
             self._res_rows_cache[res_key] = res_rows
 
-        if not active:
+        rate_matrix = self._matrix_template.copy()
+        if not cols:
             breakdown = self.power_model.socket_power(
                 [], fu, halted, 0.0)
             return _SegmentRates(
@@ -402,97 +400,10 @@ class Socket:
                 uclk_rate=0.0 if halted else fu,
                 breakdown=breakdown, bias=_MODELED_IDLE_BIAS)
 
-        if uniform:
-            f0, phase0, nthr0, exec0 = lane0
-            return self._uniform_rates(
-                rate_matrix, res_rows, [j for j, _ in active],
-                (f0, phase0, max(nthr0, 1), exec0), fu, halted)
-
-        nominal = self.spec.nominal_hz
-        cols: list[int] = []
-        f_l: list[float] = []
-        nthr_l: list[int] = []
-        exec_l: list[float] = []
-        par_l: list[float] = []
-        slope_l: list[float] = []
-        bwb_l: list[bool] = []
-        stall_l: list[float] = []
-        act_l: list[float] = []
-        bias_l: list[float] = []
-        l3pc_l: list[float] = []
-        drpc_l: list[float] = []
-        for j, lane in active:
-            f_hz, phase, nthr, exec_t = lane
-            cols.append(j)
-            f_l.append(f_hz)
-            nthr_l.append(max(nthr, 1))
-            exec_l.append(exec_t)
-            par_l.append(phase.ipc_parity)
-            slope_l.append(phase.ipc_uncore_slope)
-            bwb_l.append(phase.bw_bound)
-            stall_l.append(phase.stall_fraction)
-            act_l.append(phase.power_activity)
-            bias_l.append(phase.rapl_model_bias)
-            l3pc_l.append(phase.l3_bytes_per_cycle)
-            drpc_l.append(phase.dram_bytes_per_cycle)
-
-        col_idx = np.array(cols, dtype=np.intp)
-        f = np.array(f_l, dtype=np.float64)
-        nthr = np.array(nthr_l, dtype=np.int64)
-        l3pc = np.array(l3pc_l, dtype=np.float64)
-        drpc = np.array(drpc_l, dtype=np.float64)
-
-        l3_rate, dram_rate, l3_gbs, dram_gbs = self.bw_model.solve_soa(
-            f, nthr, l3pc, drpc, fu)
-
-        # Bandwidth throttle (_bw_throttle): achieved/demanded ratio for
-        # bw-bound phases, exact 1.0 everywhere else.
-        throttle = np.ones_like(f)
-        want = (l3pc + drpc) * f
-        bound = np.array(bwb_l, dtype=bool) & (want > 0.0)
-        if bound.any():
-            got = l3_rate[bound] + dram_rate[bound]
-            throttle[bound] = np.minimum(1.0, got / want[bound])
-
-        # Per-thread IPC law (WorkloadPhase.ipc_thread). Multiplying the
-        # non-bw-bound lanes by their exact 1.0 throttle is a bitwise
-        # no-op, matching the reference's conditional multiply.
-        par = np.array(par_l, dtype=np.float64)
-        ratio = f / max(fu, 1.0)
-        ipc = par + np.array(slope_l, dtype=np.float64) * (1.0 - ratio)
-        ipc = np.maximum(ipc, 0.05 * par)
-        ipc = ipc * throttle
-        ipc_thread = ipc * np.array(exec_l, dtype=np.float64)
-        instr = ipc_thread * f
-
-        rate_matrix[_ROW_APERF, col_idx] = f
-        rate_matrix[_ROW_MPERF, col_idx] = nominal
-        rate_matrix[_ROW_INSTR_T0, col_idx] = instr
-        rate_matrix[_ROW_INSTR_CORE, col_idx] = instr * nthr
-        rate_matrix[_ROW_STALL, col_idx] = \
-            np.array(stall_l, dtype=np.float64) * f
-        rate_matrix[_ROW_L3, col_idx] = l3_rate
-        rate_matrix[_ROW_DRAM, col_idx] = dram_rate
-
-        p_core = self.power_model.core_power_w_array(
-            f, np.array(act_l, dtype=np.float64))
-        bias_num = sum((p_core * np.array(bias_l, dtype=np.float64)).tolist())
-        bias_den = sum(p_core.tolist())
-
-        breakdown = SocketPowerBreakdown(
-            static_w=self.spec.power.static_w,
-            core_dyn_w=bias_den,
-            uncore_w=self.power_model.uncore_power_w(fu, halted),
-            dram_w=self.power_model.dram_power_w(dram_gbs))
-        return _SegmentRates(
-            rate_matrix=rate_matrix,
-            res_rows=res_rows,
-            uncore_l3_rate=l3_gbs * 1e9,
-            uncore_dram_rate=dram_gbs * 1e9,
-            uclk_rate=0.0 if halted else fu,
-            breakdown=breakdown,
-            bias=bias_num / bias_den if bias_den > 0 else _MODELED_IDLE_BIAS,
-        )
+        f0, phase0, nthr0, exec0 = lane0
+        return self._uniform_rates(
+            rate_matrix, res_rows, cols,
+            (f0, phase0, max(nthr0, 1), exec0), fu, halted)
 
     def _uniform_rates(self, rate_matrix: np.ndarray, res_rows: np.ndarray,
                        cols: list[int], lane: tuple, fu: float,
@@ -503,10 +414,10 @@ class Socket:
         lane — lockstep fleets, gang-scheduled sweeps, the tick-heavy
         benchmark — so the per-lane laws are evaluated once as scalars
         and broadcast into the rate matrix. Each expression repeats the
-        SoA path verbatim (scalar float64 ops are bit-identical to the
-        one-lane elementwise op), and the cross-core reductions replay
-        the left-to-right fold over ``n`` equal terms. Guarded by the
-        same sanitize cross-check and parity tests as the SoA path.
+        per-core law of :meth:`_compute_rates_scalar` with the same
+        associativity, and the cross-core reductions replay its
+        left-to-right fold over ``n`` equal terms. Guarded by the
+        sanitize cross-check and ``tests/test_rate_parity.py``.
         """
         f, phase, nthr, exec_throttle = lane
         n = len(cols)
@@ -667,16 +578,15 @@ class Socket:
         """Sanitize mode: recompute the cached rates on a sampled segment.
 
         Runs on cache-hit segments only, every ``EPOCH_CHECK_STRIDE``-th
-        hit. The fresh recompute goes through the **vectorized** SoA
-        path — the one integration actually uses — deliberately
-        bypassing the operating-point memo (a memo hit would just echo
-        the possibly-stale cache back at itself). It is then
-        cross-checked against the scalar reference, so one sampled
-        segment catches both failure modes: a rate-relevant mutation
-        that skipped the epoch bump, and a vectorization bug that made
-        the SoA path drift from the per-core math. Both computations are
-        pure (no RNG, no state mutation), so the check observes without
-        perturbing.
+        hit. The fresh recompute goes through :meth:`_compute_rates` —
+        the path integration actually uses — deliberately bypassing the
+        operating-point memo (a memo hit would just echo the
+        possibly-stale cache back at itself). It is then cross-checked
+        against the scalar reference, so one sampled segment catches
+        both failure modes: a rate-relevant mutation that skipped the
+        epoch bump, and a bug that made the idle or uniform lane drift
+        from the per-core math. Both computations are pure (no RNG, no
+        state mutation), so the check observes without perturbing.
         """
         counter = self._sanitize_segments
         self._sanitize_segments = counter + 1
@@ -707,10 +617,9 @@ class Socket:
                 and fresh.bias == reference.bias
                 and fresh.breakdown == reference.breakdown):
             raise EpochConsistencyError(
-                f"socket {self.socket_id}: vectorized segment rates "
-                f"diverge from the scalar reference at epoch "
-                f"{self.epoch.value} — the SoA integration path lost "
-                "bit-parity with the per-core math")
+                f"socket {self.socket_id}: segment rates diverge from "
+                f"the scalar reference at epoch {self.epoch.value} — the "
+                "idle/uniform lane lost bit-parity with the per-core math")
 
     @staticmethod
     def _bw_throttle(core: Core, phase: WorkloadPhase, bw) -> float:

@@ -23,9 +23,8 @@ from repro.engine.simulator import Simulator
 from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.faults import chaos
 from repro.pcu.pcu import Pcu
-from repro.specs.node import HASWELL_TEST_NODE
 from repro.system.core import AvxLicense
-from repro.system.node import Node, build_haswell_node, build_node
+from repro.system.node import Node, build_haswell_node
 from repro.units import NS_PER_S, ms, us
 from repro.workloads import micro
 from repro.workloads.base import Workload, WorkloadPhase
@@ -267,15 +266,6 @@ class TestFastSlowParity:
                                                    1.2e9))
         assert len(set(fast["mbvr-samples"])) > 1, "MBVR never switched"
         assert steady_plans["noop"] > 0, dict(steady_plans)
-
-    def test_env_knob_disables_fastpath(self, monkeypatch):
-        from repro.engine import fastpath
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert not fastpath.enabled()
-        sim = Simulator(seed=1)
-        node = build_node(sim, HASWELL_TEST_NODE)
-        assert not node.fastpath_enabled
-        assert not node.pcus[0].fastpath_enabled
 
 
 # ---- 3. parallel suite parity ----------------------------------------------

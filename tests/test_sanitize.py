@@ -109,13 +109,14 @@ class TestEpochChecker:
 
     def test_stale_rate_matrix_caught_under_vectorized_path(
             self, sanitize_mode, monkeypatch):
-        """Corrupting the memoized SoA rate matrix itself is detected.
+        """Corrupting the memoized rate matrix itself is detected.
 
-        The vectorized integration consumes the cached ``_SegmentRates``
-        matrix directly; the sampled check must recompute through the
-        same SoA path and compare against that cache — not against the
-        scalar per-core views — or an in-place corruption would
-        integrate silently forever.
+        The vectorized multiply-add integration consumes the cached
+        ``_SegmentRates`` matrix directly; the sampled check must
+        recompute through ``Socket._compute_rates`` (bypassing the memo)
+        and compare against that cache — not against the scalar per-core
+        views — or an in-place corruption would integrate silently
+        forever.
         """
         monkeypatch.setattr(sanitize, "EPOCH_CHECK_STRIDE", 1)
         sim, node = build_haswell_node(seed=409)

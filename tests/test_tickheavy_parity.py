@@ -1,13 +1,16 @@
 """Randomized tick-heavy churn parity: fast path on == fast path off.
 
-The vectorized hot path (operating-point memo, event cohorts, epoch
-fast lanes, batched RNG draws) claims bit-identical behaviour to the
-uncached reference path. This harness hammers that claim with ~100
-seeded random churn schedules: every schedule loads all cores with the
-sub-quantum tick-heavy workload and then fires a random interleaving of
-governor flips, EPB writes, c-state disables, uncore-window changes,
-workload stop/restart and (on a third of the seeds) an armed chaos
-fault plan. Each schedule runs twice — fast path on and off — under the
+The fast path (steady PCU tick plans, epoch-keyed caches, the
+operating-point memo) claims bit-identical behaviour to the path that
+re-derives every PCU grant and recomputes every segment's rates. Both
+runs share event cohorts, batched RNG draws and the segment-rate lanes
+of ``Socket._rates_from_key``; ``tests/test_rate_parity.py`` checks
+those lanes against the scalar reference. This harness hammers the
+claim with ~100 seeded random churn schedules: every schedule loads all
+cores with the sub-quantum tick-heavy workload and then fires a random
+interleaving of governor flips, EPB writes, c-state disables,
+uncore-window changes, workload stop/restart and (on a third of the
+seeds) an armed chaos fault plan. Each schedule runs twice — fast path on and off — under the
 runtime sanitizer, and the full observable state *and* the RNG draw
 ledger must match exactly.
 
