@@ -18,7 +18,8 @@ half, catching what static analysis cannot see:
   :meth:`repro.system.socket.Socket.integrate` recomputes the cached
   rate matrix from scratch on a sampled subset of cache-hit segments
   (every :data:`EPOCH_CHECK_STRIDE`-th) and raises
-  :class:`~repro.errors.EpochConsistencyError` if the cache is stale.
+  :class:`~repro.errors.EpochConsistencyError` if the cache, or the
+  socket's slice of the node rate block the node integrates, is stale.
 
 Enable process-wide with ``REPRO_SANITIZE=1`` (checked at
 ``Simulator``/``Socket`` construction), or per-node at runtime with

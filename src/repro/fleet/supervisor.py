@@ -40,10 +40,8 @@ from repro.engine.rng import make_rng
 from repro.fleet.checkpoint import CheckpointStore
 from repro.fleet.plan import FleetPlan
 from repro.fleet.worker import run_shard
-from repro.util.pool import PoolFuture, SupervisedPool, WorkerLost
-
-#: Shard statuses that carry data in the checkpoint namespace.
-COMPLETE_STATUSES = frozenset({"ok", "cached", "retried"})
+from repro.util.pool import (COMPLETE_STATUSES, PoolFuture, SupervisedPool,
+                             WorkerLost)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """C-state / frequency residency reporting.
 
 Summarizes where cores and packages spent their time — the view
-``powertop``-class tools give — from the counters the socket integrator
+``powertop``-class tools give — from the counters the node integrator
 maintains. Used to verify, e.g., that an idle system actually sits in
 PC6 and that a busy core is 100 % C0.
 """

@@ -93,7 +93,7 @@ class RaplBank:
             # reads will use the generic unit. See read_energy_j().
             pass
 
-    # ---- accumulation (called from the socket integrator) -------------------
+    # ---- accumulation (Socket.integrate inlines it for PACKAGE + DRAM) ------
 
     def accumulate(self, domain: RaplDomain, true_joules: float,
                    bias: float = 1.0) -> None:
@@ -101,19 +101,6 @@ class RaplBank:
             raise UnsupportedFeatureError(
                 f"RAPL domain {domain.value} not supported on {self.spec.model}")
         self._energy_j[domain] += self.backend.accumulate(true_joules, bias)
-
-    def accumulate_pkg_dram(self, pkg_joules: float, dram_joules: float,
-                            bias: float) -> None:
-        """Fused hot-path accumulate for the two always-present domains.
-
-        The socket integrator credits PACKAGE and DRAM on every segment;
-        both domains exist on every supported part (only PP0 varies), so
-        this skips the per-call membership check of :meth:`accumulate`.
-        """
-        acc = self.backend.accumulate
-        energy = self._energy_j
-        energy[RaplDomain.PACKAGE] += acc(pkg_joules, bias)
-        energy[RaplDomain.DRAM] += acc(dram_joules, bias)
 
     def refresh(self) -> None:
         """Latch accumulated energy into the visible MSR snapshot.

@@ -43,12 +43,10 @@ from repro.service.cache import ResultCache, make_entry
 from repro.service.dataset import (DEFAULT_SEARCH_DIRS, HostDataset,
                                    load_dataset, resolve_dataset)
 from repro.service.sweep import SweepRequest, TaskSpec, expand_sweep
-from repro.util.pool import PoolFuture, SupervisedPool, WorkerLost
+from repro.util.pool import (COMPLETE_STATUSES, PoolFuture, SupervisedPool,
+                             WorkerLost)
 
 RESULTS_FORMAT = "repro-service-results"
-
-#: Task statuses whose records enter the canonical results report.
-COMPLETE_STATUSES = frozenset({"cached", "ok", "retried"})
 
 
 # ---- worker side (module-level: must pickle into the pool) ------------------

@@ -5,12 +5,17 @@ retired instructions (per thread and per core), stall cycles, uncore
 clocks (``UNCORE_CLOCK:UBOXFIX``), and cache/DRAM traffic.
 
 Storage is structure-of-arrays: a :class:`CoreCounters` is a *view* of
-one column of its socket's ``(n_fields, n_cores)`` accumulator matrix,
-so :meth:`repro.system.socket.Socket.integrate` advances every counter
-of every core with a single vectorized multiply-add per segment. A
-standalone ``CoreCounters`` (a core not yet adopted by a socket, or a
-:meth:`snapshot`) owns its own one-column storage; the Python attribute
-values are materialized lazily, on read.
+one column of its node's ``(n_fields, n_cores_total)`` counter block,
+so :meth:`repro.system.node.Node.integrate` advances every counter of
+every core on every socket with a single vectorized multiply-add per
+segment. C-state residency is integer nanoseconds in a socket-owned
+``(n_cstates, n_cores)`` matrix; the node defers the per-segment adds
+into one pending integer and folds it in when an operating point
+changes, so every residency read first calls the ``sync`` hook the
+owner installed (:meth:`CoreCounters.adopt`). A standalone
+``CoreCounters`` (a core not yet adopted, or a :meth:`snapshot`) owns
+its own one-column storage; the Python attribute values are
+materialized lazily, on read.
 """
 
 from __future__ import annotations
@@ -39,18 +44,29 @@ RESIDENCY_STATES = tuple(CState)
 CSTATE_ROW = {state: i for i, state in enumerate(RESIDENCY_STATES)}
 
 
+def no_pending_residency() -> None:
+    """Residency sync hook of storage nobody integrates into."""
+
+
 class _ResidencyView:
-    """Dict-like view of one core's c-state residency column (ns)."""
+    """Dict-like view of one core's c-state residency column (ns).
 
-    __slots__ = ("_col",)
+    Every read and write first runs ``sync``, so a view held across
+    ``run_for`` calls sees the node's pending residency too.
+    """
 
-    def __init__(self, col: np.ndarray) -> None:
+    __slots__ = ("_col", "_sync")
+
+    def __init__(self, col: np.ndarray, sync=no_pending_residency) -> None:
         self._col = col
+        self._sync = sync
 
     def __getitem__(self, state: CState) -> int:
+        self._sync()
         return int(self._col[CSTATE_ROW[state]])
 
     def __setitem__(self, state: CState, value: int) -> None:
+        self._sync()
         self._col[CSTATE_ROW[state]] = value
 
     def __iter__(self):
@@ -66,19 +82,23 @@ class _ResidencyView:
         return RESIDENCY_STATES
 
     def values(self):
+        self._sync()
         return [int(v) for v in self._col]
 
     def items(self):
+        self._sync()
         return [(s, int(self._col[i]))
                 for i, s in enumerate(RESIDENCY_STATES)]
 
     def get(self, state: CState, default: int | None = None):
         if state in CSTATE_ROW:
-            return int(self._col[CSTATE_ROW[state]])
+            return self[state]
         return default
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _ResidencyView):
+            self._sync()
+            other._sync()
             return bool(np.array_equal(self._col, other._col))
         if isinstance(other, dict):
             return dict(self.items()) == other
@@ -99,9 +119,9 @@ def _field_property(row: int):
 
 
 class CoreCounters:
-    """Monotonic counters of one core (column view into socket SoA)."""
+    """Monotonic counters of one core (column views into node storage)."""
 
-    __slots__ = ("_data", "_res")
+    __slots__ = ("_data", "_res", "_sync")
 
     def __init__(self, tsc: float = 0.0, aperf: float = 0.0,
                  mperf: float = 0.0, instructions_core: float = 0.0,
@@ -112,6 +132,7 @@ class CoreCounters:
                                instructions_thread0, stall_cycles,
                                l3_bytes, dram_bytes], dtype=np.float64)
         self._res = np.zeros(len(RESIDENCY_STATES), dtype=np.int64)
+        self._sync = no_pending_residency
 
     tsc = _field_property(FIELD_ROW["tsc"])
     aperf = _field_property(FIELD_ROW["aperf"])
@@ -124,22 +145,30 @@ class CoreCounters:
 
     @property
     def cstate_residency_ns(self) -> _ResidencyView:
-        return _ResidencyView(self._res)
+        return _ResidencyView(self._res, self._sync)
 
     @cstate_residency_ns.setter
     def cstate_residency_ns(self, mapping) -> None:
+        self._sync()
         for state, value in dict(mapping).items():
             self._res[CSTATE_ROW[state]] = value
 
-    def adopt(self, data_col: np.ndarray, res_col: np.ndarray) -> None:
-        """Rebind to socket-owned SoA columns (carrying current values)."""
+    def adopt(self, data_col: np.ndarray, res_col: np.ndarray,
+              sync=no_pending_residency) -> None:
+        """Rebind to owner-held columns (carrying current values).
+
+        ``sync`` folds the owner's pending residency into ``res_col``;
+        it runs before every residency read or write.
+        """
         data_col[:] = self._data
         res_col[:] = self._res
         self._data = data_col
         self._res = res_col
+        self._sync = sync
 
     def snapshot(self) -> "CoreCounters":
         """A detached copy with its own storage."""
+        self._sync()
         copy = CoreCounters()
         copy._data = self._data.copy()
         copy._res = self._res.copy()
@@ -148,6 +177,8 @@ class CoreCounters:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoreCounters):
             return NotImplemented
+        self._sync()
+        other._sync()
         return (bool(np.array_equal(self._data, other._data))
                 and bool(np.array_equal(self._res, other._res)))
 

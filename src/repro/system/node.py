@@ -1,14 +1,19 @@
 """The full compute node: sockets, PCUs, MBVR, PSU, workload control.
 
 This is the top-level object experiments drive. It is the simulator's
-integrator (delegating to the sockets), owns the workload-phase event
-machinery, and implements the software-visible control interfaces
+one integrator: it owns the float counter block every core counter
+lives in and the matching rate block, advances both sockets' counters
+with one multiply-add per segment, and defers core c-state residency
+into one pending integer. It also owns the workload-phase event
+machinery and implements the software-visible control interfaces
 (cpufreq-like p-state requests, EPB, workload placement).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.engine.epoch import EpochCell
 from repro.engine.simulator import Simulator
@@ -21,6 +26,7 @@ from repro.power.rapl import RaplDomain
 from repro.specs.node import NodeSpec, HASWELL_TEST_NODE
 from repro.system import buildhooks
 from repro.system.core import Core
+from repro.system.counters import CORE_COUNTER_FIELDS
 from repro.system.socket import Socket
 from repro.topology.routing import LinkDerate
 from repro.units import NS_PER_S
@@ -72,6 +78,24 @@ class Node:
         self._active_counter = counter
         for c in cores:
             object.__setattr__(c, "_active_counter", counter)
+        # One (n_fields, n_cores_total) counter block and a same-shape
+        # rate block: each socket owns a column slice of both and keeps
+        # its rate slice current, so a segment advances every core
+        # counter on the node with one multiply and one add.
+        shape = (len(CORE_COUNTER_FIELDS), len(cores))
+        self._cnt_block = np.zeros(shape, dtype=np.float64)
+        self._rate_block = np.zeros(shape, dtype=np.float64)
+        self._cnt_scratch = np.empty(shape, dtype=np.float64)
+        # Core c-state residency earned since the last sync, in ns. Every
+        # socket's residency rows hold still until its rates are
+        # replaced, so the per-segment integer adds are deferred into
+        # this one count (integer adds are exact: bit-identical).
+        self._res_pending_ns = 0
+        first_col = 0
+        for socket in self.sockets:
+            socket.attach(self._cnt_block, self._rate_block, first_col,
+                          self.sync_residency)
+            first_col += len(socket.cores)
 
     def set_fastpath(self, enabled: bool) -> None:
         """Toggle the steady-state fast path on every socket and PCU
@@ -295,15 +319,41 @@ class Node:
     # ---- integration -----------------------------------------------------------------------------
 
     def integrate(self, t0_ns: int, t1_ns: int) -> None:
-        any_active = self.any_core_active()
+        """Advance every accumulator over ``[t0_ns, t1_ns)`` in one pass.
+
+        Each socket refreshes its slice of the rate block (syncing the
+        pending residency first whenever it does) and advances its
+        scalar accumulators; then one multiply-add over the node block
+        advances every core counter, the segment joins the pending
+        residency, and the AC meter integrates the sockets' DC sum.
+        """
+        dt_ns = t1_ns - t0_ns
+        if dt_ns <= 0:
+            return
+        dt_s = dt_ns / NS_PER_S
+        any_active = self._active_counter[0] > 0
         dc_w = 0.0
         for s in self.sockets:
-            s.integrate(t0_ns, t1_ns, any_active)
-            if s.last_breakdown is not None:
-                # precomputed breakdown.package_w + breakdown.dram_w
-                dc_w += s._last_dc_w
+            s.integrate(dt_ns, dt_s, any_active)
+            dc_w += s._rates.dc_w
+        np.multiply(self._rate_block, dt_s, out=self._cnt_scratch)
+        self._cnt_block += self._cnt_scratch
+        self._res_pending_ns += dt_ns
         ac_w = self.psu.ac_power_w(dc_w)
-        self.ac_energy_j += ac_w * (t1_ns - t0_ns) / NS_PER_S
+        self.ac_energy_j += ac_w * dt_ns / NS_PER_S
+
+    def sync_residency(self) -> None:
+        """Fold the pending residency into every core's residency row.
+
+        Each socket's current ``res_flat`` addresses the row every core
+        has sat in since the last sync. Runs before any socket's rates
+        are replaced and on every residency read.
+        """
+        pending = self._res_pending_ns
+        if pending:
+            self._res_pending_ns = 0
+            for s in self.sockets:
+                s._cnt_res_flat[s._rates.res_flat] += pending
 
     def _rapl_refresh(self, _now_ns: int) -> None:
         trace = self.sim.trace

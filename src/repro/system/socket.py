@@ -1,20 +1,24 @@
-"""One processor package: cores + uncore + RAPL + power integration.
+"""One processor package: cores + uncore + RAPL + segment rates.
 
-``integrate(t0, t1, ...)`` advances all counters and energy accumulators
-in closed form over a segment during which every frequency, c-state and
-workload phase is constant (the engine guarantees this). This is where
-the frequency, bandwidth, IPC and power models meet.
+A socket turns its operating point into per-second rates over a
+segment during which every frequency, c-state and workload phase is
+constant (the engine guarantees this). This is where the frequency,
+bandwidth, IPC and power models meet. :meth:`Socket.integrate` is this
+socket's share of :meth:`repro.system.node.Node.integrate`: it keeps
+the socket's slice of the node rate block current and advances the
+socket's scalar accumulators (uncore counters, energy, RAPL, package
+residency); the node then advances every core counter of every socket
+with one vectorized multiply-add.
 
 Steady-state fast path: most consecutive segments share the exact same
 operating point, so the per-second rates are computed once per *epoch*
 (a socket-local dirty counter bumped by every mutation that can change
 rates — frequency grants, phase swaps, c-state transitions, AVX-license
-changes, uncore frequency/halt; see :mod:`repro.engine.epoch`) and the
-per-core accumulation is a single vectorized multiply-add into the
-structure-of-arrays counter matrix. This is the difference between
-O(events x cores x models) and O(events) for the common case.
-``Node.set_fastpath(False)`` recomputes every segment from scratch; both
-paths are bit-identical by construction and by test
+changes, uncore frequency/halt; see :mod:`repro.engine.epoch`) and
+copied into the node rate block only when the epoch moves. This is the
+difference between O(events x cores x models) and O(events) for the
+common case. ``Node.set_fastpath(False)`` recomputes every segment from
+scratch; both paths are bit-identical by construction and by test
 (``tests/test_perf_fastpath.py``).
 """
 
@@ -39,9 +43,12 @@ from repro.power.rapl import (
 )
 from repro.specs.cpu import CpuSpec
 from repro.system.core import AVX_REQUEST_THROTTLE, AvxLicense, Core
-from repro.system.counters import CSTATE_ROW, FIELD_ROW
+from repro.system.counters import (
+    CSTATE_ROW,
+    FIELD_ROW,
+    no_pending_residency,
+)
 from repro.system.uncore import Uncore
-from repro.units import NS_PER_S
 from repro.workloads.base import WorkloadPhase
 
 # Modeled (pre-Haswell) RAPL underestimates idle power; the offset keeps
@@ -59,6 +66,8 @@ _ROW_L3 = FIELD_ROW["l3_bytes"]
 _ROW_DRAM = FIELD_ROW["dram_bytes"]
 _N_FIELD_ROWS = len(FIELD_ROW)
 _C0_RES_ROW = CSTATE_ROW[CState.C0]
+_RAPL_PKG = RaplDomain.PACKAGE
+_RAPL_DRAM = RaplDomain.DRAM
 _CSTATE_C0 = CState.C0
 # The seven rows a uniform lane fills, as one fancy-index vector: one
 # broadcast assignment instead of seven row-slice assignments.
@@ -74,8 +83,8 @@ _ARANGE_CACHE: dict[int, np.ndarray] = {}
 class _SegmentRates:
     """Precomputed per-second rates for one socket operating point."""
 
-    # (n_fields, n_cores) counter rates per second; one fused
-    # multiply-add per segment advances every core counter at once.
+    # (n_fields, n_cores) counter rates per second; copied into the
+    # socket's slice of the node rate block when the epoch moves.
     rate_matrix: np.ndarray
     # per-core residency row (current c-state) in the residency matrix
     res_rows: np.ndarray
@@ -140,12 +149,15 @@ class Socket:
         self.epoch = EpochCell()
         n = len(self.cores)
         # Structure-of-arrays counter storage: adopt every core's
-        # counters as column views of one accumulator matrix.
+        # counters as column views of one accumulator matrix. The node
+        # rebinds the float counters and the rates to column slices of
+        # its blocks (attach); until then the socket owns standalone
+        # storage that nothing integrates into.
         self._cnt_data = np.zeros((_N_FIELD_ROWS, n), dtype=np.float64)
+        self._rate_view = np.zeros_like(self._cnt_data)
         self._cnt_res = np.zeros((len(CSTATE_ROW), n), dtype=np.int64)
-        self._cnt_scratch = np.empty_like(self._cnt_data)
         self._cnt_res_flat = self._cnt_res.reshape(-1)   # shared view
-        self._last_dc_w = 0.0   # package+dram W of the last segment
+        self._sync_residency = no_pending_residency
         for j, core in enumerate(self.cores):
             core.counters.adopt(self._cnt_data[:, j], self._cnt_res[:, j])
             core._epoch_cell = self.epoch
@@ -170,6 +182,31 @@ class Socket:
         self._pkg_sync_key: tuple[int, bool] | None = None
         self._active_cache: list[Core] = []
         self._active_epoch = -1
+        # The RAPL add, inlined: the measured backend credits true
+        # joules, the modeled one scales them by the workload bias.
+        self._rapl_energy = self.rapl._energy_j
+        self._rapl_biased = isinstance(self.rapl.backend,
+                                       ModeledRaplBackend)
+
+    def attach(self, cnt_block: np.ndarray, rate_block: np.ndarray,
+               first_col: int, sync_residency) -> None:
+        """Move the float counters and rates into node-owned blocks.
+
+        Called once, by the node, before the first segment. Columns
+        ``first_col : first_col + n_cores`` of the node's
+        ``(n_fields, n_cores_total)`` counter and rate blocks become
+        this socket's; ``sync_residency`` folds the node's pending
+        residency nanoseconds into every socket's residency matrix and
+        is run before any of this socket's residency reads or rate
+        replacements.
+        """
+        cols = slice(first_col, first_col + len(self.cores))
+        self._sync_residency = sync_residency
+        self._cnt_data = cnt_block[:, cols]
+        self._rate_view = rate_block[:, cols]
+        for j, core in enumerate(self.cores):
+            core.counters.adopt(self._cnt_data[:, j], self._cnt_res[:, j],
+                                sync_residency)
 
     # ---- construction ---------------------------------------------------------
 
@@ -528,23 +565,27 @@ class Socket:
             memo[key] = rates
         return rates
 
-    def integrate(self, t0_ns: int, t1_ns: int,
+    def integrate(self, dt_ns: int, dt_s: float,
                   any_active_in_system: bool) -> None:
-        dt_ns = t1_ns - t0_ns
-        if dt_ns <= 0:
-            return
-        dt_s = dt_ns / NS_PER_S
+        """This socket's share of one node segment of ``dt_ns`` (> 0).
+
+        Brings the socket's slice of the node rate block up to date and
+        advances the scalar accumulators; the core counters in the
+        block are advanced by :meth:`repro.system.node.Node.integrate`
+        once every socket has run.
+        """
         # Inline fast check of sync_package_state's memo key; the method
         # re-resolves only when the epoch or system activity moved.
         if not (self.fastpath_enabled
                 and self._pkg_sync_key == (self.epoch.value,
                                            any_active_in_system)):
             self.sync_package_state(any_active_in_system)
-        self._residency_pkg_ns[self.package_cstate] += dt_ns
 
         rates = self._rates
         if (rates is None or not self.fastpath_enabled
                 or self._rates_epoch != self.epoch.value):
+            # The pending residency was earned at the outgoing rows.
+            self._sync_residency()
             # Fastpath consults the operating-point memo; with the fast
             # path off every segment recomputes genuinely (bit-identical
             # either way — the memo stores what the computation returns).
@@ -552,15 +593,10 @@ class Socket:
                                    if self.fastpath_enabled
                                    else self._compute_rates())
             self._rates_epoch = self.epoch.value
+            self._rate_view[...] = rates.rate_matrix
         elif self.sanitize_enabled:
             self._check_epoch_consistency(rates)
         self.last_breakdown = rates.breakdown
-
-        # One vectorized multiply-add advances every counter of every
-        # core; scratch avoids a temporary allocation per segment.
-        np.multiply(rates.rate_matrix, dt_s, out=self._cnt_scratch)
-        self._cnt_data += self._cnt_scratch
-        self._cnt_res_flat[rates.res_flat] += dt_ns
 
         ucnt = self.uncore.counters
         ucnt.l3_bytes += rates.uncore_l3_rate * dt_s
@@ -571,8 +607,15 @@ class Socket:
         dram_e = rates.breakdown.dram_w * dt_s
         self.energy_pkg_j += pkg_e
         self.energy_dram_j += dram_e
-        self.rapl.accumulate_pkg_dram(pkg_e, dram_e, rates.bias)
-        self._last_dc_w = rates.dc_w
+        energy = self._rapl_energy
+        if self._rapl_biased:
+            bias = rates.bias
+            energy[_RAPL_PKG] += pkg_e * bias
+            energy[_RAPL_DRAM] += dram_e * bias
+        else:
+            energy[_RAPL_PKG] += pkg_e
+            energy[_RAPL_DRAM] += dram_e
+        self._residency_pkg_ns[self.package_cstate] += dt_ns
 
     def _check_epoch_consistency(self, cached: "_SegmentRates") -> None:
         """Sanitize mode: recompute the cached rates on a sampled segment.
@@ -581,7 +624,10 @@ class Socket:
         hit. The fresh recompute goes through :meth:`_compute_rates` —
         the path integration actually uses — deliberately bypassing the
         operating-point memo (a memo hit would just echo the
-        possibly-stale cache back at itself). It is then cross-checked
+        possibly-stale cache back at itself). Both the cached
+        ``_SegmentRates`` and the socket's slice of the node rate block
+        (what the node actually integrates) must equal it. It is then
+        cross-checked
         against the scalar reference, so one sampled segment catches
         both failure modes: a rate-relevant mutation that skipped the
         epoch bump, and a bug that made the idle or uniform lane drift
@@ -602,6 +648,13 @@ class Socket:
                 f"from a fresh recompute at epoch {self.epoch.value} "
                 f"(first at row {bad[0]}, core column {bad[1]}) — a "
                 "rate-relevant field was mutated without an epoch bump")
+        if not np.array_equal(self._rate_view, fresh.rate_matrix):
+            bad = np.argwhere(self._rate_view != fresh.rate_matrix)[0]
+            raise EpochConsistencyError(
+                f"socket {self.socket_id}: the node rate block diverges "
+                f"from a fresh recompute at epoch {self.epoch.value} "
+                f"(first at row {bad[0]}, core column {bad[1]}) — the "
+                "block was written outside a rate refresh")
         if not np.array_equal(cached.res_rows, fresh.res_rows):
             raise EpochConsistencyError(
                 f"socket {self.socket_id}: cached c-state residency rows "

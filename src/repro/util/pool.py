@@ -24,6 +24,11 @@ from repro.util.retry import Backoff
 #: pool is given a seeded ``rng``.
 REBUILD_BACKOFF = Backoff(initial_s=0.05, max_delay_s=1.0, jitter_frac=0.5)
 
+#: Outcome statuses of a pooled task that carry its result: served from
+#: a cache, finished on the first attempt, or finished after a requeue.
+#: The fleet supervisor and the experiment service both report these.
+COMPLETE_STATUSES = frozenset({"cached", "ok", "retried"})
+
 
 class WorkerLost(RuntimeError):
     """A submission's worker died on every allowed attempt."""

@@ -130,6 +130,22 @@ class TestEpochChecker:
         with pytest.raises(EpochConsistencyError, match="without an epoch"):
             sim.run_for(ms(5))
 
+    def test_corrupted_node_rate_block_caught(self, sanitize_mode,
+                                              monkeypatch):
+        """The node integrates its rate block, not the cached matrices.
+
+        A socket's slice of ``Node._rate_block`` written outside a rate
+        refresh leaves every ``_SegmentRates`` intact, so the sampled
+        check must compare the slice itself with the fresh recompute.
+        """
+        monkeypatch.setattr(sanitize, "EPOCH_CHECK_STRIDE", 1)
+        sim, node = build_haswell_node(seed=411)
+        node.run_workload([0], firestarter())
+        sim.run_for(ms(5))
+        node._rate_block[0, 0] += 1.0e6
+        with pytest.raises(EpochConsistencyError, match="rate block"):
+            sim.run_for(ms(5))
+
     def test_tick_heavy_field_bypass_caught_with_fastpath(
             self, sanitize_mode, monkeypatch):
         monkeypatch.setattr(sanitize, "EPOCH_CHECK_STRIDE", 1)
