@@ -8,6 +8,14 @@ cell value and recompute only when it moved. Cells chain upward — a
 socket cell bumps its parent node cell — so node-wide views (``any
 core active?``, PCU decision inputs) invalidate on any socket's change
 without scanning cores.
+
+The node cell covers decision inputs only. A frequency grant the PCU
+itself applied is a rate input but not an input of any node-wide view
+or of the PCU's own derivation, so it bumps the socket cell alone
+(:meth:`EpochCell.bump_local`). Under ``tied`` uncore coupling the
+uncore target follows the core clocks, so there a landed grant is a
+decision input and bumps the chain like every other mutation; so does
+any frequency write made outside the PCU.
 """
 
 from __future__ import annotations
@@ -34,6 +42,11 @@ class EpochCell:
         while cell is not None:
             cell.value += 1
             cell = cell.parent
+
+    def bump_local(self) -> None:
+        """Bump this cell only: the mutation changes what is cached
+        against this cell but nothing cached against its parents."""
+        self.value += 1
 
     def __repr__(self) -> str:
         return f"EpochCell(value={self.value})"

@@ -67,12 +67,14 @@ class DrawBatch:
     like a direct ``rng.method(*args)`` call would, refills with one
     vectorized draw when the buffer runs dry, and retunes (discarding
     the remainder deterministically) whenever the draw arguments change.
-    Direct indexing into ``_prefill``/``_prefill_cursor`` from outside
-    this module bypasses draw-order accounting and is rejected by the
-    ``rng-batch-bypass`` lint rule.
+    The buffer is held as a Python list (``ndarray.tolist()`` converts
+    each value exactly), so a take is a list index. Direct indexing into
+    ``_prefill``/``_prefill_cursor`` from outside this module bypasses
+    draw-order accounting and is rejected by the ``rng-batch-bypass``
+    lint rule.
     """
 
-    __slots__ = ("_parent", "_method", "_block",
+    __slots__ = ("_parent", "_method", "_block", "_ledger",
                  "_prefill", "_prefill_args", "_prefill_cursor")
 
     def __init__(self, parent, method: str,
@@ -82,25 +84,27 @@ class DrawBatch:
         self._parent = parent
         self._method = method
         self._block = int(block)
-        self._prefill: np.ndarray | None = None
-        self._prefill_args: tuple = ()
+        # A sanitize-mode stream carries its ledger from birth
+        # (Simulator construction / spawn_rng), so one lookup suffices.
+        self._ledger = getattr(parent, "_ledger", None)
+        self._prefill: list = []
+        self._prefill_args: tuple | None = None     # None = never filled
         self._prefill_cursor = 0
 
     def take(self, *args):
-        """One draw of ``method(*args)`` from the buffer (numpy scalar)."""
-        prefill = self._prefill
+        """One draw of ``method(*args)`` from the buffer (a Python
+        ``int`` or ``float``)."""
         cursor = self._prefill_cursor
-        if prefill is None or cursor >= self._block \
-                or args != self._prefill_args:
+        if cursor >= self._block or args != self._prefill_args:
             from repro.engine import sanitize
             bare = sanitize.unwrap_rng(self._parent)
-            prefill = self._prefill = getattr(bare, self._method)(
-                *args, size=self._block)
+            self._prefill = getattr(bare, self._method)(
+                *args, size=self._block).tolist()
             self._prefill_args = args
             cursor = 0
         self._prefill_cursor = cursor + 1
-        ledger = getattr(self._parent, "_ledger", None)
-        if ledger is not None:
+        if self._ledger is not None:
             from repro.engine import sanitize
-            ledger.record(sanitize._site_of(sys._getframe(1)), self._method)
-        return prefill[cursor]
+            self._ledger.record(sanitize._site_of(sys._getframe(1)),
+                                self._method)
+        return self._prefill[cursor]

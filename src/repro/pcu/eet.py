@@ -10,7 +10,7 @@ benchmark with :mod:`repro.workloads.composite`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.pcu.epb import Epb
 from repro.units import ghz
@@ -37,7 +37,6 @@ class EetController:
 
     enabled: bool = True
     _trim_hz: float = 0.0
-    poll_count: int = field(default=0)
 
     @property
     def trim_hz(self) -> float:
@@ -50,7 +49,6 @@ class EetController:
         Between polls the trim is stale — the sampled stall fraction of a
         phase-switching workload may belong to the *previous* phase.
         """
-        self.poll_count += 1
         if not self.enabled:
             self._trim_hz = 0.0
         else:

@@ -9,7 +9,9 @@ time. All cores of a socket change together; sockets tick on
 independent phases — exactly the behaviour FTaLaT measures in Fig. 3.
 The grants are derived afresh only when an input moved; a tick whose
 inputs are unchanged replays the cached derivation (see
-:meth:`Pcu._steady_tick`).
+:meth:`Pcu._steady_tick`). A grant this PCU applies is not such an
+input (except under tied uncore coupling): its landing refreshes the
+socket's rates but not the node epoch the derivation is keyed on.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.pcu.epb import Epb
 from repro.pcu.turbo import FrequencyDecision, SolvedPoint, TdpLimiter
 from repro.pcu.ufs import ufs_target_hz
 from repro.specs.cpu import CpuSpec
+from repro.system.counters import FIELD_ROW
 from repro.units import us
 
 if TYPE_CHECKING:
@@ -36,6 +39,11 @@ TICK_JITTER_NS = us(10)
 
 # What a tick under an unchanged control key has to redo (Pcu._steady_tick).
 _REPLAY, _NOOP, _GRANT = "replay", "noop", "grant"
+
+# The aperf and stall-cycle counter rows as one strided slice, so the EET
+# window sums both in one reduce (Socket.counter_totals).
+_APERF, _STALL = FIELD_ROW["aperf"], FIELD_ROW["stall_cycles"]
+_EET_ROWS = slice(_APERF, _STALL + 1, _STALL - _APERF)
 
 
 class Pcu:
@@ -67,8 +75,11 @@ class Pcu:
         # and the fastpath parity guarantee are about.
         self._jitter_batch = DrawBatch(self.rng, "integers")
         self._dither_batch = DrawBatch(self.rng, "normal")
+        # Tick period. Pre-Haswell parts carry requests out immediately
+        # (Node.set_pstate) but still run a coarse tick for TDP/UFS.
+        quantum = self.spec.pcu_quantum_ns
+        self._quantum_ns = quantum if quantum > 0 else us(500)
         self.last_decision: FrequencyDecision | None = None
-        self.tick_count = 0
         # PROCHOT#-style thermal throttle: while set, every grant is
         # clamped to this frequency (fault injection / thermal episodes).
         self.prochot_cap_hz: float | None = None
@@ -86,13 +97,20 @@ class Pcu:
         # order = insertion order = the order per-core events had).
         self._apply_batches: dict[int, tuple[object, dict]] = {}
         self._pending_apply: dict[int, int] = {}   # core id -> fire time
+        # A landed grant is a decision input only under tied coupling,
+        # where the uncore target follows the core clocks; otherwise it
+        # bumps the socket epoch alone (Core.apply_frequency).
+        tied = self.spec.microarch.uncore_coupling == "tied"
+        for core in socket.cores:
+            core._grant_is_input = tied
         self._eet_last_stall = 0.0
         self._eet_last_cycles = 0.0
         # Steady-state fast path: when the node epoch and every control
-        # knob are unchanged since the last tick, the per-core target
-        # derivation is skipped and the limiter re-grants on the cached
-        # inputs (consuming the same rng draws, so the event stream is
-        # bit-identical either way). Node.set_fastpath toggles it.
+        # knob are unchanged since the last derivation, the per-core
+        # target derivation is skipped and the limiter re-grants on the
+        # cached inputs (consuming the same rng draws, so the event
+        # stream is bit-identical either way). Node.set_fastpath
+        # toggles it.
         self.fastpath_enabled = True
         self._epoch = getattr(node, "epoch", None) or socket.epoch
         self._ctrl_key: tuple | None = None
@@ -102,23 +120,19 @@ class Pcu:
         self._ctrl_ufs: float | None = None
         # Steady-tick plan for the cached derivation; None = classify on
         # the next steady tick. A grant-only plan keeps the solved point,
-        # the slowest and fastest active core frequency and one active
-        # core id.
+        # the uniform active target and the slowest and fastest active
+        # core frequency; both plans keep the MBVR load.
         self._steady_plan: str | None = None
         self._steady_point: SolvedPoint | None = None
+        self._steady_target_hz = 0.0
         self._steady_lo_hz = 0.0
         self._steady_hi_hz = 0.0
-        self._steady_core = 0
+        self._steady_load_w = 0.0
 
     # ---- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
-        quantum = self.spec.pcu_quantum_ns
-        if quantum <= 0:
-            # Pre-Haswell: requests are carried out immediately (handled by
-            # Node.set_pstate); still run a coarse control tick for TDP/UFS.
-            quantum = us(500)
-        phase = int(self.rng.integers(0, quantum))
+        phase = int(self.rng.integers(0, self._quantum_ns))
         self.sim.schedule_after(max(phase, 1), self._tick,
                                 label=self._tick_label)
         if self.spec.eet_poll_period_ns > 0:
@@ -164,8 +178,7 @@ class Pcu:
         before the poll still dominates the sample — the staleness that
         makes EET mis-clock fast phase-switchers (Section II-E).
         """
-        stall = self.socket.counter_total("stall_cycles")
-        cycles = self.socket.counter_total("aperf")
+        cycles, stall = self.socket.counter_totals(_EET_ROWS)
         d_stall = stall - self._eet_last_stall
         d_cycles = cycles - self._eet_last_cycles
         self._eet_last_stall = stall
@@ -175,13 +188,11 @@ class Pcu:
         return min(d_stall / d_cycles, 1.0)
 
     def _tick(self, now_ns: int) -> None:
-        self.tick_count += 1
         self._control(now_ns)
-        quantum = self.spec.pcu_quantum_ns or us(500)
         spread = TICK_JITTER_NS + self.extra_tick_jitter_ns
-        jitter = int(self._jitter_batch.take(-spread, spread + 1))
-        self.sim.schedule_after(max(quantum + jitter, 1), self._tick,
-                                label=self._tick_label)
+        delay = self._quantum_ns + self._jitter_batch.take(-spread, spread + 1)
+        self.sim.schedule_after(delay if delay > 1 else 1, self._tick,
+                                self._tick_label)
 
     # ---- the control decision ---------------------------------------------------------
 
@@ -212,8 +223,10 @@ class Pcu:
         )
 
     def _control_key(self) -> tuple:
-        """Everything the grant derivation depends on besides core/uncore
-        state (which the node epoch already covers)."""
+        """Everything the grant derivation depends on besides the core
+        and uncore state the node epoch covers. Granted core clocks are
+        a derivation input only under tied coupling, where landing them
+        bumps the node epoch too."""
         return (self._epoch.value, self.epb, self.turbo_enabled,
                 self.eet.trim_hz, self.prochot_cap_hz, self.limiter.budget_w,
                 self.uncore_limit_min_hz, self.uncore_limit_max_hz)
@@ -236,56 +249,72 @@ class Pcu:
     def _steady_tick(self) -> None:
         """A tick whose control key equals the cached derivation's.
 
-        The epoch has not moved since the last tick, so no core or
-        uncore state changed: the last tick's grants applied nothing
-        that landed, and the replay can differ from it only in the
-        dither of a TDP-bound point. Two classes of tick need less than
-        a full replay:
+        No decision input moved since the derivation, so a fresh one
+        would reproduce the cached targets and solved point. Core
+        frequencies may have moved — a grant landing bumps the socket
+        epoch only — but every landing clears the plan, so the plan was
+        classified against the current frequencies. The replay can
+        differ from the last decision only in the dither of a TDP-bound
+        point. Two classes of tick need less than a full replay:
 
         * **no-op** — a point that is not TDP-bound re-grants exactly
           the last decision. With no apply pending and every core
           already within the apply threshold of its grant, the replay
           schedules nothing, and the uncore already runs at its grant
-          (setting it changed nothing last tick, or the epoch would
-          have moved). Only the MBVR selection remains: the regulator
-          is shared by the node, and both sockets overwrite it.
+          (setting it to a new value bumps the node epoch). Only the
+          MBVR selection remains: the regulator is shared by the node,
+          and both sockets overwrite it.
         * **grant only** — a TDP-bound point with uniform active
           targets gives every active core the same grant ``g``, and
           ``|g - f|`` is below the threshold for every active core iff
           it is at the slowest and the fastest one (``fl(g - f)`` is
           monotone in ``f``). Within that window the apply pass is a
-          no-op apart from the draw; outside it, the grants apply.
+          no-op apart from the draw, so the tick computes ``g`` alone;
+          outside it, the grants apply.
 
         Everything else replays in full. The plan is classified on the
         first steady tick, so derivation ticks pay nothing for it.
         """
         plan = self._steady_plan or self._plan_steady()
         if plan is _NOOP:
-            self._select_power_state()
+            self.node.mbvr.select_power_state(self._steady_load_w)
         elif plan is _GRANT:
-            decision = self.limiter.grant(self._steady_point,
-                                          self._ctrl_decide_targets,
-                                          self._dither_batch)
-            granted = decision.core_targets_hz[self._steady_core]
+            point = self._steady_point
+            f_core = self.limiter.dither(point, self._dither_batch)
+            target = self._steady_target_hz
+            granted = f_core if f_core < target else target
             threshold = self._APPLY_THRESHOLD_HZ
             if (abs(granted - self._steady_lo_hz) < threshold
                     and abs(granted - self._steady_hi_hz) < threshold):
-                self.last_decision = decision
-                self._select_power_state()
+                self.node.mbvr.select_power_state(self._steady_load_w)
             else:
                 self._steady_plan = None     # applies are now pending
-                self._apply_decision(decision, self._ctrl_targets)
+                self._apply_decision(
+                    self.limiter.grant_at(point, f_core,
+                                          self._ctrl_decide_targets),
+                    self._ctrl_targets)
         else:
             self._replay_cached()
 
     def _plan_steady(self) -> str:
-        """Classify the cached derivation for :meth:`_steady_tick`."""
-        if self._pending_apply:
-            return _REPLAY      # not kept: re-classify once they land
+        """Classify the cached derivation for :meth:`_steady_tick`.
+
+        ``last_decision`` is the decision of the last tick that ran the
+        apply pass; at least the derivation did, and no tick since
+        moved a non-TDP-bound grant or the solved point. The MBVR load
+        holds until the plan is dropped: the socket's rates move only
+        with its epoch, which moves only by a node bump (a new
+        derivation) or a landed grant (which drops the plan).
+        """
+        socket = self.socket
+        if self._pending_apply or not socket.breakdown_current():
+            # Not kept: re-classify once the applies land, or once the
+            # segment after a same-instant landing has been integrated.
+            return _REPLAY
         decide_targets = self._ctrl_decide_targets
         targets = self._ctrl_targets
         threshold = self._APPLY_THRESHOLD_HZ
-        cores = self.socket.cores
+        cores = socket.cores
         if not self.last_decision.tdp_bound:
             grants = self.last_decision.core_targets_hz
             plan = _NOOP if all(
@@ -299,11 +328,12 @@ class Pcu:
             active = [c.freq_hz for c in cores if c.core_id in decide_targets]
             self._steady_lo_hz = min(active)
             self._steady_hi_hz = max(active)
-            self._steady_core = next(iter(decide_targets))
+            self._steady_target_hz = next(iter(decide_targets.values()))
             # The pure solve the derivation's decide ran (a memo hit).
             self._steady_point = self.limiter.solve(
                 decide_targets, self._ctrl_activity, self._ctrl_ufs)
             plan = _GRANT
+        self._steady_load_w = socket.last_breakdown.package_w
         self._steady_plan = plan
         return plan
 
@@ -313,7 +343,7 @@ class Pcu:
 
         key = self._control_key()
         if self.fastpath_enabled and key == self._ctrl_key:
-            # Steady state: nothing moved since the last tick.
+            # Steady state: no decision input moved since the derivation.
             self._steady_tick()
             return
 
@@ -368,8 +398,10 @@ class Pcu:
             rng=self._dither_batch,
         )
         # Cache the derivation under the key observed *before* this tick
-        # mutated anything (applying grants bumps the epoch, forcing one
-        # more full derivation — conservative and correct).
+        # mutated anything. A grant landing later leaves the node epoch
+        # alone (see _finish_apply_batch), so it keeps this cache; an
+        # uncore grant that changes the uncore clock bumps the epoch,
+        # forcing one more full derivation — conservative and correct.
         self._ctrl_key = key
         self._ctrl_targets = targets
         self._ctrl_decide_targets = decide_targets
@@ -454,6 +486,13 @@ class Pcu:
         record = trace.wants("freq-apply")
         source = f"pcu{self.socket.socket_id}" if record else ""
         pending = self._pending_apply
+        # A landed grant refreshes the socket's rates (socket epoch) but,
+        # outside tied coupling, no decision input (node epoch): the
+        # cached derivation stays valid. The steady plan is dropped, so
+        # the next tick classifies it against the new clocks (a kept
+        # replay plan would otherwise replay in full until the next
+        # derivation).
+        self._steady_plan = None
         for core, f_hz in entry[1].values():
             previous = core.freq_hz
             core.apply_frequency(f_hz)

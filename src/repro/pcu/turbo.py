@@ -133,32 +133,44 @@ class TdpLimiter:
         f_core, f_uncore, tdp_bound = hit
         return SolvedPoint(f_core, f_uncore, tdp_bound, f_common)
 
-    def grant(self, point: SolvedPoint, targets_hz: dict[int, float],
-              rng: "np.random.Generator | DrawBatch | None" = None,
-              ) -> FrequencyDecision:
-        """Grants for ``targets_hz`` at a solved point.
+    def dither(self, point: SolvedPoint,
+               rng: "np.random.Generator | DrawBatch | None" = None,
+               ) -> float | None:
+        """The common core grant of ``point`` for one decision.
 
         The only place a decision draws: a TDP-bound point takes one
         dither draw per call, so every caller consumes the same stream
         at the same ledger site.
         """
         f_core = point.core_hz
+        if f_core is None or not point.tdp_bound or rng is None:
+            return f_core
+        # The PCU hands in a batched buffer; callers with a bare
+        # generator (tuning scripts, tests) draw directly. Same
+        # distribution, same one-draw-per-decision ledger footprint.
+        if isinstance(rng, DrawBatch):
+            dither = rng.take(0.0, DITHER_SIGMA_HZ)
+        else:
+            dither = float(rng.normal(0.0, DITHER_SIGMA_HZ))
+        return min(max(f_core + dither, self.spec.min_hz), point.f_common_hz)
+
+    def grant(self, point: SolvedPoint, targets_hz: dict[int, float],
+              rng: "np.random.Generator | DrawBatch | None" = None,
+              ) -> FrequencyDecision:
+        """Grants for ``targets_hz`` at a solved point (one
+        :meth:`dither`)."""
+        return self.grant_at(point, self.dither(point, rng), targets_hz)
+
+    @staticmethod
+    def grant_at(point: SolvedPoint, f_core: float | None,
+                 targets_hz: dict[int, float]) -> FrequencyDecision:
+        """The decision that grants ``f_core``, already dithered, to
+        every target above it."""
         if f_core is None:
             return FrequencyDecision(core_targets_hz={},
                                      uncore_hz=point.uncore_hz,
                                      tdp_bound=False)
-        if point.tdp_bound and rng is not None:
-            # The PCU hands in a batched buffer; callers with a bare
-            # generator (tuning scripts, tests) draw directly. Same
-            # distribution, same one-draw-per-decision ledger footprint.
-            if isinstance(rng, DrawBatch):
-                dither = float(rng.take(0.0, DITHER_SIGMA_HZ))
-            else:
-                dither = float(rng.normal(0.0, DITHER_SIGMA_HZ))
-            f_core = min(max(f_core + dither, self.spec.min_hz),
-                         point.f_common_hz)
-
-        # min(t, f_core), spelled out: this runs on every TDP-bound tick.
+        # min(t, f_core), spelled out: this runs on every applied grant.
         grants = {cid: f_core if f_core < t else t
                   for cid, t in targets_hz.items()}
         return FrequencyDecision(core_targets_hz=grants,

@@ -40,7 +40,10 @@ AVX_REQUEST_THROTTLE = 0.75
 
 # Fields whose mutation can change the socket's segment rates or the
 # PCU's grant decision; writing a *different* value to one of them bumps
-# the socket epoch (see repro.engine.epoch).
+# the socket epoch and its node parent (see repro.engine.epoch). The one
+# exception is a grant the PCU applies (apply_frequency): ``freq_hz`` is
+# a rate input but, outside tied uncore coupling, no decision input, so
+# it bumps the socket cell only.
 _EPOCH_FIELDS = frozenset({
     "freq_hz", "requested_hz", "cstate", "avx_license", "workload", "_phase",
 })
@@ -92,6 +95,10 @@ class Core:
 
     # Set by the owning Socket after adoption; None while free-standing.
     _epoch_cell = None
+    # Whether a landed grant is a decision input, i.e. whether
+    # apply_frequency bumps the node epoch as well as the socket's. The
+    # owning PCU clears it unless the uncore is tied to the core clocks.
+    _grant_is_input = True
     # Shared one-element list holding the node-wide count of cores in C0;
     # installed by Node.__post_init__. Every c-state transition keeps it
     # exact, so Node.any_core_active is an O(1) read instead of a scan.
@@ -319,8 +326,10 @@ class Core:
         """PCU applies a granted frequency (after the switching time).
 
         Hot path: writes bypass the ``__setattr__`` dispatch; ``freq_hz``
-        bumps the epoch cell directly when the value changes (same
-        observable effect as the intercept, minus the field lookup).
+        bumps the epoch cell directly when the value changes. Unless
+        ``_grant_is_input`` is set, only the socket cell moves: the
+        landing changes the socket's rates but no node-wide decision
+        input (see :mod:`repro.engine.epoch`).
         """
         if f_hz <= 0:
             raise SimulationError("granted frequency must be positive")
@@ -329,7 +338,10 @@ class Core:
             osa(self, "freq_hz", f_hz)
             cell = self._epoch_cell
             if cell is not None:
-                cell.bump()
+                if self._grant_is_input:
+                    cell.bump()
+                else:
+                    cell.bump_local()
         osa(self, "pending_freq_hz", None)
         self.fivr.set_frequency(f_hz)
 

@@ -279,8 +279,17 @@ class Node:
                 applied = f_hz if f_hz is not None else core.spec.nominal_hz
                 self.sim.schedule_after(
                     core.spec.pstate_switch_time_ns,
-                    lambda _t, c=core, f=applied: c.apply_frequency(f),
+                    lambda _t, c=core, f=applied:
+                        self._apply_immediately(c, f),
                     label=f"legacy-pstate-core{core_id}")
+
+    def _apply_immediately(self, core: Core, f_hz: float) -> None:
+        """Carry out a pre-Haswell request. The PCU did not grant it, so
+        its steady plan does not know the new clock: the node epoch
+        moves, and the PCU re-derives on its next tick."""
+        if f_hz != core.freq_hz:
+            self.epoch.bump()
+        core.apply_frequency(f_hz)
 
     def set_epb(self, epb: Epb, socket_ids: list[int] | None = None) -> None:
         for pcu in self.pcus:

@@ -274,9 +274,23 @@ class Socket:
             return 0.0
         return sum(c.freq_hz for c in active) / len(active)
 
+    def breakdown_current(self) -> bool:
+        """Whether :attr:`last_breakdown` is the current operating
+        point's: no rate-relevant mutation since the last segment."""
+        return self._rates_epoch == self.epoch.value
+
     def counter_total(self, name: str) -> float:
         """Sum of one counter over all cores (vectorized over the SoA)."""
         return float(self._cnt_data[FIELD_ROW[name]].sum())
+
+    def counter_totals(self, rows: slice) -> list[float]:
+        """Sums of a slice of counter rows over all cores, in one reduce.
+
+        Each row is summed like :meth:`counter_total` sums it (the same
+        pairwise reduction along the contiguous core axis), so every
+        value is bit-identical to the corresponding single-row call.
+        """
+        return np.add.reduce(self._cnt_data[rows], axis=1).tolist()
 
     # ---- bandwidth evaluation ------------------------------------------------------
 

@@ -1,0 +1,201 @@
+"""Landed grants and the PCU's steady plan (docs/performance.md).
+
+A grant the PCU applies changes its socket's rates but, outside tied
+uncore coupling, none of the inputs its derivation reads: the landing
+bumps the socket epoch only, so neither PCU re-derives, and the landing
+PCU re-classifies its steady plan against the new clocks. Under tied
+coupling (Sandy Bridge) and for applies made outside the PCU (the
+pre-Haswell immediate ``set_pstate`` path) the node epoch moves and the
+PCUs re-derive.
+
+Each case runs a fast-path twin and a ``set_fastpath(False)`` twin (a
+derivation on every tick, the oracle) under ``REPRO_SANITIZE=1`` and
+compares their state and RNG draw ledgers. The bit-parity unit tests
+pin the two cheaper primitives steady ticks and EET polls use.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.cstates.states import PackageCState
+from repro.engine.rng import DRAW_BATCH_BLOCK, DrawBatch, make_rng
+from repro.engine.simulator import Simulator
+from repro.pcu.pcu import _EET_ROWS, Pcu
+from repro.specs.node import (HASWELL_TEST_NODE, SANDY_BRIDGE_TEST_NODE,
+                              WESTMERE_TEST_NODE, NodeSpec)
+from repro.system.node import Node, build_haswell_node, build_node
+from repro.units import ms
+from repro.workloads.firestarter import firestarter
+
+
+@pytest.fixture
+def tick_log(monkeypatch) -> list:
+    """Records, in event order, every PCU tick as ``("tick", socket,
+    derived)`` and every landed apply batch that moved a clock as
+    ``("land", socket)``."""
+    log: list = []
+    tick, steady, finish = (Pcu._tick, Pcu._steady_tick,
+                            Pcu._finish_apply_batch)
+
+    def spy_tick(pcu, now_ns):
+        pcu._spy_steady = False
+        tick(pcu, now_ns)
+        log.append(("tick", pcu.socket.socket_id, not pcu._spy_steady))
+
+    def spy_steady(pcu):
+        pcu._spy_steady = True
+        steady(pcu)
+
+    def spy_finish(pcu, now_ns):
+        before = [c.freq_hz for c in pcu.socket.cores]
+        finish(pcu, now_ns)
+        if before != [c.freq_hz for c in pcu.socket.cores]:
+            log.append(("land", pcu.socket.socket_id))
+
+    monkeypatch.setattr(Pcu, "_tick", spy_tick)
+    monkeypatch.setattr(Pcu, "_steady_tick", spy_steady)
+    monkeypatch.setattr(Pcu, "_finish_apply_batch", spy_finish)
+    return log
+
+
+def _state(sim: Simulator, node: Node) -> dict:
+    out = {"now": sim.now_ns, "ac": node.ac_energy_j,
+           "mbvr": node.mbvr.power_state}
+    for s in node.sockets:
+        for c in s.cores:
+            out[f"core{c.core_id}"] = (
+                c.counters.snapshot(), dict(c.counters.cstate_residency_ns),
+                c.freq_hz, c.requested_hz, c.cstate, c.avx_license)
+        out[f"s{s.socket_id}"] = (
+            s.uncore.freq_hz,
+            {d.name: s.rapl.true_energy_j(d) for d in s.rapl._energy_j},
+            {p.name: s.package_residency_ns(p) for p in PackageCState})
+    out["ledger"] = [tuple(entry) for entry in sim.ledger.entries]
+    return out
+
+
+def _twins(spec: NodeSpec, drive, log: list) -> list:
+    """Runs ``drive`` on a fast-path and a fast-path-off node built from
+    ``spec``, asserts both end in the same state with the same draw
+    ledger, and returns the fast run's tick log."""
+    states = []
+    fast_log: list = []
+    for fastpath in (True, False):
+        log.clear()
+        sim = Simulator(seed=4242)
+        node = build_node(sim, spec)
+        node.set_fastpath(fastpath)
+        drive(sim, node)
+        states.append(_state(sim, node))
+        if fastpath:
+            fast_log = list(log)
+    fast, slow = states
+    assert fast["ledger"], "no RNG draws recorded"
+    mismatched = [k for k in fast if fast[k] != slow[k]]
+    assert not mismatched, f"fast path diverged on {mismatched}"
+    return fast_log
+
+
+def _settled_window(spec: NodeSpec, log: list, then=None,
+                    settle_ms: int = 40, run_ms: int = 80) -> list:
+    """FIRESTARTER on every core at turbo (TDP-bound) on fast and slow
+    twins; ``then(node, core_ids)`` runs after the settle. Returns the
+    fast twin's tick log from the settle on."""
+    settled: list = []
+
+    def drive(sim: Simulator, node: Node) -> None:
+        ids = [c.core_id for c in node.all_cores]
+        node.run_workload(ids, firestarter())
+        node.set_pstate(ids, None)
+        sim.run_for(ms(settle_ms))
+        settled.append(len(log))
+        if then is not None:
+            then(node, ids)
+        sim.run_for(ms(run_ms))
+    return _twins(spec, drive, log)[settled[0]:]
+
+
+def _next_ticks(log: list, n_sockets: int) -> list[bool]:
+    """For every landing, whether each socket's next tick derived."""
+    derived = []
+    for i, entry in enumerate(log):
+        if entry[0] != "land":
+            continue
+        for sid in range(n_sockets):
+            nxt = next((e for e in log[i + 1:]
+                        if e[0] == "tick" and e[1] == sid), None)
+            if nxt is not None:
+                derived.append(nxt[2])
+    return derived
+
+
+class TestLandedGrants:
+    def test_landed_batches_rederive_on_neither_pcu(self, monkeypatch,
+                                                    tick_log):
+        """Haswell (UFS): once settled, landed grant batches leave both
+        PCUs on steady ticks."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        window = _settled_window(HASWELL_TEST_NODE, tick_log)
+        landings = [e for e in window if e[0] == "land"]
+        assert len(landings) >= 3, "too few landed batches to judge"
+        derived = _next_ticks(window, 2)
+        assert derived and not any(derived), derived
+        assert not any(e[2] for e in window if e[0] == "tick")
+
+    def test_tied_coupling_landing_rederives(self, monkeypatch, tick_log):
+        """Sandy Bridge ties the uncore to the core clocks, so a landed
+        grant is a decision input: both PCUs re-derive after it."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        window = _settled_window(SANDY_BRIDGE_TEST_NODE, tick_log)
+        assert any(e[0] == "land" for e in window), "no landed batches"
+        derived = _next_ticks(window, 2)
+        assert derived and all(derived), derived
+
+    def test_legacy_immediate_apply_rederives(self, monkeypatch, tick_log):
+        """Westmere carries requests out immediately. Re-requesting turbo
+        changes no request but applies the nominal clock outside the
+        PCU, so the PCU must re-derive to grant turbo again."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+
+        def rerequest(node, ids):
+            node.set_pstate(ids, None)
+
+        window = _settled_window(WESTMERE_TEST_NODE, tick_log,
+                                 then=rerequest, run_ms=20)
+        ticks = [e for e in window if e[0] == "tick"]
+        assert sum(e[2] for e in ticks) >= 2, "no re-derivation"
+        assert not any(e[2] for e in ticks[-10:]), "never settled again"
+
+
+class TestBitParity:
+    def test_eet_window_reduce_matches_counter_total(self):
+        """The EET window's one reduce over the aperf and stall rows
+        sums each row exactly like ``counter_total``."""
+        _, node = build_haswell_node(seed=5)
+        rng = np.random.default_rng(20150406)
+        block = node._cnt_block
+        for _ in range(200):
+            block[...] = (rng.standard_normal(block.shape)
+                          * 10.0 ** rng.integers(-30, 30, block.shape))
+            for s in node.sockets:
+                cycles, stall = s.counter_totals(_EET_ROWS)
+                assert cycles == s.counter_total("aperf")
+                assert stall == s.counter_total("stall_cycles")
+
+    @pytest.mark.parametrize("method,args,scalar", [
+        ("integers", (-10_000, 10_001), int),
+        ("normal", (0.0, 5e6), float),
+    ])
+    @pytest.mark.parametrize("block", [1, 7, DRAW_BATCH_BLOCK])
+    def test_draw_batch_list_matches_direct_draws(self, method, args,
+                                                  scalar, block):
+        """Across several refills the list buffer hands out the values
+        sequential generator calls produce, as Python scalars."""
+        batch = DrawBatch(make_rng(77), method, block=block)
+        direct = make_rng(77)
+        n = 3 * block + 5
+        taken = [batch.take(*args) for _ in range(n)]
+        assert taken == [getattr(direct, method)(*args) for _ in range(n)]
+        assert all(type(v) is scalar for v in taken)
