@@ -15,12 +15,11 @@ test:
 
 # Static analysis: the repo's own two-phase project-wide rule engine
 # (determinism/seed taint, layering, async/executor safety, unit
-# suffixes, MSR layout, epoch hygiene — see docs/static_analysis.md),
-# gated against the committed baseline, plus ruff as a generic baseline
-# when it is installed (CI installs it; the pinned local toolchain may
-# not have it).
+# suffixes, MSR layout, epoch hygiene — see docs/static_analysis.md);
+# any finding fails. Plus ruff as a generic baseline when it is
+# installed (CI installs it; the pinned local toolchain may not have it).
 lint:
-	$(PYTHON) -m repro.lint --baseline
+	$(PYTHON) -m repro.lint
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; \
 	then ruff check .; \
 	else echo "ruff not installed; skipped baseline check"; fi

@@ -3,19 +3,13 @@
 ::
 
     repro-lint [paths ...] [--select ID ...] [--ignore ID ...]
-               [--format text|sarif] [--sarif-out FILE]
-               [--baseline] [--update-baseline] [--fail-on-drift]
-               [--graph dot|mermaid] [--no-cache]
-               [--list-rules] [--root DIR]
+               [--no-cache] [--list-rules] [--root DIR]
 
 With no paths, lints the directories configured in
 ``[tool.repro-lint] paths`` of pyproject.toml (default: src, scripts,
-benchmarks, examples).  ``--baseline`` gates against the committed
-``lint-baseline.json`` (only *new* findings fail); ``--fail-on-drift``
-additionally fails when baseline entries went stale.  ``--graph`` dumps
-the layer-colored import graph instead of linting.
+benchmarks, examples).  Any finding fails the run.
 
-Exit status: 0 clean, 1 findings, 2 usage error, 4 baseline drift.
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,12 +24,10 @@ from repro.lint.engine import (
     all_rule_ids,
     all_rules,
 )
-from repro.lint.project import build_index, lint_project
+from repro.lint.project import lint_project
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
-EXIT_USAGE = 2
-EXIT_DRIFT = 4
 
 
 def _find_root(start: Path) -> Path:
@@ -83,24 +75,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run only these rule ids")
     parser.add_argument("--ignore", nargs="+", metavar="RULE", default=[],
                         help="skip these rule ids")
-    parser.add_argument("--format", choices=("text", "sarif"),
-                        default="text", help="report format")
-    parser.add_argument("--sarif-out", type=Path, metavar="FILE",
-                        help="also write a SARIF report to FILE "
-                             "(independent of --format)")
-    parser.add_argument("--baseline", action="store_true",
-                        help="gate against the committed baseline: only "
-                             "findings not in it fail the run")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline file from the current "
-                             "findings and exit 0")
-    parser.add_argument("--fail-on-drift", action="store_true",
-                        help="with --baseline: exit 4 when baseline "
-                             "entries no longer occur in the tree")
-    parser.add_argument("--graph", choices=("dot", "mermaid"),
-                        metavar="FORMAT",
-                        help="dump the layer-colored import graph "
-                             "(dot|mermaid) instead of linting")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not write the phase-1 fact "
                              "cache")
@@ -125,65 +99,19 @@ def main(argv: list[str] | None = None) -> int:
 
     rules, project_rules = _select_rules(parser, args.select, args.ignore)
     root = args.root if args.root is not None else _find_root(Path.cwd())
-    config = LintConfig.load(root)
-    use_cache = not args.no_cache
-
-    if args.graph:
-        from repro.lint.graph import render_dot, render_mermaid
-        index = build_index(args.paths or None, root=root, rules=rules,
-                            config=config, use_cache=use_cache)
-        render = render_dot if args.graph == "dot" else render_mermaid
-        sys.stdout.write(render(index, config))
-        return EXIT_CLEAN
-
+    try:
+        config = LintConfig.load(root)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     findings, _index = lint_project(
         args.paths or None, root=root, rules=rules,
-        project_rules=project_rules, config=config, use_cache=use_cache)
-
-    if args.update_baseline:
-        from repro.lint.baseline import write_baseline
-        baseline_path = root / config.baseline
-        write_baseline(baseline_path, findings)
-        print(f"repro-lint: wrote {len(findings)} entr"
-              f"{'y' if len(findings) == 1 else 'ies'} to "
-              f"{baseline_path}", file=sys.stderr)
-        return EXIT_CLEAN
-
-    drift = False
-    if args.baseline:
-        from repro.lint.baseline import apply_baseline, load_baseline
-        try:
-            entries = load_baseline(root / config.baseline)
-        except ValueError as exc:
-            parser.error(str(exc))
-        result = apply_baseline(findings, entries)
-        findings = result.new
-        if result.stale:
-            drift = True
-            for path, rule, message in result.stale:
-                print(f"{path}: stale baseline entry ({rule}): {message}",
-                      file=sys.stderr)
-
-    if args.sarif_out is not None:
-        from repro.lint.sarif import render_sarif
-        args.sarif_out.parent.mkdir(parents=True, exist_ok=True)
-        args.sarif_out.write_text(render_sarif(findings), encoding="utf-8")
-
-    if args.format == "sarif":
-        from repro.lint.sarif import render_sarif
-        sys.stdout.write(render_sarif(findings))
-    else:
-        for finding in findings:
-            print(finding.render())
+        project_rules=project_rules, config=config,
+        use_cache=not args.no_cache)
+    for finding in findings:
+        print(finding.render())
     if findings:
-        label = "new finding(s)" if args.baseline else "finding(s)"
-        print(f"repro-lint: {len(findings)} {label}", file=sys.stderr)
+        print(f"repro-lint: {len(findings)} finding(s)", file=sys.stderr)
         return EXIT_FINDINGS
-    if drift and args.fail_on_drift:
-        print("repro-lint: baseline drift — tree is cleaner than the "
-              "committed baseline; run --update-baseline and commit",
-              file=sys.stderr)
-        return EXIT_DRIFT
     return EXIT_CLEAN
 
 

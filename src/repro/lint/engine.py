@@ -266,20 +266,25 @@ class LintConfig:
     #: counts as a blessed, plan-seeded generator.
     rng_factory_functions: list[str] = field(
         default_factory=lambda: ["make_rng", "spawn_rng"])
-    #: committed-baseline file, relative to the repo root.
-    baseline: str = "lint-baseline.json"
     #: phase-1 fact cache directory, relative to the repo root.
     cache_dir: str = ".lint_cache"
 
     @classmethod
     def load(cls, root: Path) -> "LintConfig":
+        """The config under ``root``; defaults when it has no pyproject.toml.
+
+        Raises ValueError when pyproject.toml exists but cannot be
+        parsed: linting with defaults would drop the layer map, the
+        sim-core list and every allowlist without a word.
+        """
         pyproject = root / "pyproject.toml"
         if not pyproject.is_file():
             return cls()
         try:
             import tomllib
-        except ImportError:          # python < 3.11: run with defaults
-            return cls()
+        except ImportError as exc:   # python 3.10 has no tomllib
+            raise ValueError(f"cannot read {pyproject}: tomllib needs "
+                             f"Python >= 3.11") from exc
         table = tomllib.loads(pyproject.read_text()) \
             .get("tool", {}).get("repro-lint", {})
         config = cls()
@@ -295,7 +300,6 @@ class LintConfig:
             table.get("rng-factories", config.rng_factories))
         config.rng_factory_functions = list(
             table.get("rng-factory-functions", config.rng_factory_functions))
-        config.baseline = str(table.get("baseline", config.baseline))
         config.cache_dir = str(table.get("cache-dir", config.cache_dir))
         return config
 

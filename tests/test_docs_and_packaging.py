@@ -55,6 +55,25 @@ class TestPaperMapReferencesRealModules:
             assert (REPO / rel).exists(), rel
 
 
+class TestLayerDiagram:
+    def test_diagram_matches_configured_layers(self):
+        """The mermaid layer map in static_analysis.md draws the
+        [[tool.repro-lint.layer]] tables: same layers in the same order,
+        each with its packages, each on top of the one below."""
+        from repro.lint import LintConfig
+
+        text = (REPO / "docs" / "static_analysis.md").read_text()
+        diagram = re.search(r"```mermaid\n(.*?)```", text, re.S).group(1)
+        nodes = re.findall(r'^  (\w+)\["(\w+)\\n(.*)"\]$', diagram, re.M)
+        layers = LintConfig.load(REPO).layers
+        assert [(title, tuple("repro." + p for p in packages.split(" · ")))
+                for _, title, packages in nodes] == layers
+        names = [name for name, _ in layers]
+        assert [node for node, _, _ in nodes] == names
+        edges = re.findall(r"^  (\w+) --> (\w+)$", diagram, re.M)
+        assert edges == list(zip(names[1:], names[:-1]))
+
+
 class TestPackaging:
     def test_console_scripts_resolve(self):
         import tomllib
