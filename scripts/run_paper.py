@@ -31,20 +31,13 @@ docs/conformance.md) instead of running the suite.
 ``benchmarks/output/<name>.pstats``, and prints the top-20
 cumulative-time functions per experiment (see docs/performance.md).
 
-``--fleet N`` runs a fault-tolerant N-node fleet sweep (per-node
-manufacturing variation, crash-isolated shards, checkpoint/resume; see
-docs/fleet.md) instead of the table/figure suite.
+Fleet sweeps and the experiment service have their own CLIs,
+``repro-fleet`` (docs/fleet.md) and ``repro-service`` (docs/service.md).
 
-``--service`` hosts the async experiment service (versioned host
-datasets, crash-isolated workers, digest-verified result caching; see
-docs/service.md); ``--submit sweep.json`` sends a sweep-request file to
-the running service and follows it to completion.
-
-SIGINT/SIGTERM are handled gracefully in both modes: the partial
-outcome report is flushed (``run_paper_report.partial.json``, or the
-fleet's checkpoints plus ``aggregate.partial.json``) and the process
-exits with the distinct code 75 so callers can tell "interrupted but
-resumable" from failure.
+SIGINT/SIGTERM are handled gracefully: the partial outcome report is
+flushed (``run_paper_report.partial.json``) and the process exits with
+the distinct code 75 so callers can tell "interrupted but resumable"
+from failure.
 
 Artifacts land in benchmarks/output/ (same files the benchmark harness
 writes), plus run_paper_report.json with the per-experiment outcomes.
@@ -98,6 +91,7 @@ from repro.experiments.fig4_mechanism import (  # noqa: E402
     estimate_mechanism,
     render_fig4,
 )
+from repro.util.pool import EXIT_INTERRUPTED  # noqa: E402
 
 
 # ---- experiment builders ----------------------------------------------------
@@ -228,11 +222,6 @@ def _artifact_writer(name: str, text: str) -> Path:
     return write_artifact(f"run_paper_{name}", text)
 
 
-#: Exit code for a signal-interrupted (but resumable) run; matches
-#: repro.fleet.cli.EXIT_INTERRUPTED.
-EXIT_INTERRUPTED = 75
-
-
 class _Interrupted(BaseException):
     """Raised from the SIGINT/SIGTERM handler to unwind the suite.
 
@@ -245,35 +234,6 @@ class _Interrupted(BaseException):
     def __init__(self, signum: int) -> None:
         super().__init__(signal.Signals(signum).name)
         self.signum = signum
-
-
-def _run_fleet(args) -> int:
-    """Handle --fleet: a fault-tolerant N-node sweep instead of the suite."""
-    from repro.errors import ReproError
-    from repro.fleet.cli import drive
-    from repro.fleet.plan import FleetPlan
-
-    try:
-        plan = FleetPlan(n_nodes=args.fleet, max_attempts=args.max_attempts)
-        return drive(plan, Path(args.fleet_ckpt_dir), jobs=args.jobs,
-                     resume=args.fleet_resume)
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _run_service(args) -> int:
-    """Handle --service: host the async experiment service (docs/service.md)."""
-    from repro.service.cli import main as service_main
-    return service_main(["--state-root", args.service_root,
-                         "serve", "--jobs", str(args.jobs)])
-
-
-def _submit_sweep(args) -> int:
-    """Handle --submit: send a sweep to the running service and follow it."""
-    from repro.service.cli import main as service_main
-    return service_main(["--state-root", args.service_root,
-                         "submit", "--sweep", args.submit, "--wait"])
 
 
 def _record_or_replay(args) -> int:
@@ -331,29 +291,6 @@ def main() -> int:
                         choices=["none", "numa-link", "psu-brownout"],
                         help="chaos profile baked into a --record "
                              "manifest (default numa-link)")
-    parser.add_argument("--fleet", type=int, default=None, metavar="N",
-                        help="run a fault-tolerant N-node fleet sweep "
-                             "(crash-isolated shards, checkpoint/resume; "
-                             "see docs/fleet.md) instead of the suite")
-    parser.add_argument("--fleet-ckpt-dir",
-                        default="benchmarks/output/fleet",
-                        help="checkpoint root for --fleet")
-    parser.add_argument("--fleet-resume", action="store_true",
-                        help="with --fleet: finish an interrupted sweep "
-                             "instead of starting fresh")
-    parser.add_argument("--service", action="store_true",
-                        help="host the async experiment service in the "
-                             "foreground (datasets, digest-verified result "
-                             "cache; see docs/service.md) instead of the "
-                             "suite; --jobs sets its worker count")
-    parser.add_argument("--submit", metavar="SWEEP_JSON", default=None,
-                        help="submit a sweep-request JSON file to the "
-                             "running service and follow it to completion "
-                             "(exit 0 ok / 3 degraded / 1 failed)")
-    parser.add_argument("--service-root",
-                        default="benchmarks/output/service",
-                        help="state root for --service/--submit (socket, "
-                             "result cache, job outputs)")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile each experiment; write "
                              "benchmarks/output/<name>.pstats and print "
@@ -371,26 +308,10 @@ def main() -> int:
     if args.record is not None or args.replay is not None:
         return _record_or_replay(args)
 
-    if args.service and args.submit is not None:
-        parser.error("--service and --submit are mutually exclusive "
-                     "(serve in one process, submit from another)")
-    if args.service:
-        if args.jobs < 1:
-            parser.error("--jobs must be at least 1")
-        return _run_service(args)
-    if args.submit is not None:
-        return _submit_sweep(args)
-
     if args.max_attempts < 1:
         parser.error("--max-attempts must be at least 1")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    if args.fleet_resume and args.fleet is None:
-        parser.error("--fleet-resume requires --fleet")
-    if args.fleet is not None:
-        if args.fleet < 1:
-            parser.error("--fleet must be a positive node count")
-        return _run_fleet(args)
 
     if args.chaos is not None and args.chaos < 0:
         parser.error("--chaos seed must be a non-negative integer")

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterable
 
 import numpy as np
@@ -134,6 +136,16 @@ def unseal_jsonl(text: str, fmt: str) -> tuple[dict[str, Any], list[Any]]:
     if tag != fmt:
         raise ConformanceError(f"format tag {tag!r} is not {fmt!r}")
     return header, rows
+
+
+def write_atomic(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` through a ``.tmp`` sibling and a
+    rename, so a crash mid-write never leaves a torn file in place."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+    return path
 
 
 class ConformanceRecorder(TraceRecorder):

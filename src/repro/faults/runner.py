@@ -17,15 +17,19 @@ Outcome semantics:
 * ``retried``  — succeeded after ≥1 transient-fault retry;
 * ``degraded`` — every attempt failed, but only with transient
   (retryable) errors; partial checkpoints exist;
+* ``lost``     — (``jobs > 1`` only) its worker process died on every
+  attempt;
 * ``failed``   — a non-retryable error or the wall-clock timeout.
 
 Parallelism: ``jobs > 1`` fans independent experiments out over a
-:class:`~repro.util.pool.SupervisedPool`. Every experiment builds its
-own seeded simulator/node, so per-experiment results are bit-identical
-to a serial run; outcomes are reported in submission order. Builders
-must be picklable (module-level functions / ``functools.partial``, not
-lambdas). Under chaos mode each worker process arms the same chaos seed
-with fresh counters, so a parallel chaos run is deterministic but its
+:class:`~repro.util.pool.SupervisedPool`, whose
+:func:`~repro.util.pool.settle` names each worker-side outcome. Every
+experiment builds its own seeded simulator/node, so per-experiment
+results are bit-identical to a serial run; outcomes are reported in
+submission order. Builders must be picklable (module-level functions /
+``functools.partial``, not lambdas); one that is not fails alone.
+Under chaos mode each worker process arms the same chaos seed with
+fresh counters, so a parallel chaos run is deterministic but its
 per-experiment fault plans differ from a serial suite's (where the plan
 depends on how many nodes earlier experiments built).
 """
@@ -35,6 +39,7 @@ from __future__ import annotations
 import json
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
@@ -44,7 +49,7 @@ from typing import Callable, Sequence
 from repro.errors import TransientFaultError
 from repro.faults import chaos
 from repro.faults.plan import DEFAULT_PROFILE, FaultProfile
-from repro.util.pool import SupervisedPool, WorkerLost
+from repro.util.pool import COMPLETE_STATUSES, SupervisedPool, settle
 from repro.util.retry import DEFAULT_RETRYABLE, Backoff
 
 
@@ -61,7 +66,7 @@ class ExperimentSpec:
 @dataclass
 class ExperimentOutcome:
     name: str
-    status: str                  # ok | retried | degraded | failed
+    status: str                  # ok | retried | degraded | lost | failed
     attempts: int
     duration_s: float
     error: str | None = None
@@ -86,14 +91,11 @@ class SuiteReport:
 
     @property
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for o in self.outcomes:
-            out[o.status] = out.get(o.status, 0) + 1
-        return out
+        return dict(Counter(o.status for o in self.outcomes))
 
     @property
     def hard_failures(self) -> list[ExperimentOutcome]:
-        return [o for o in self.outcomes if o.status == "failed"]
+        return [o for o in self.outcomes if o.status in ("failed", "lost")]
 
     def records(self) -> list[dict]:
         return [o.record() for o in self.outcomes]
@@ -216,7 +218,7 @@ class ExperimentRunner:
     def _run_parallel(self, selected: list[str]) -> SuiteReport:
         """Fan the suite out over a :class:`SupervisedPool` and collect
         in submission order. An experiment whose worker died is
-        requeued; it fails only if its worker died on every attempt."""
+        requeued; it is lost only if its worker died on every attempt."""
         pool = SupervisedPool(self.jobs, sleep=self.sleep)
         options = dict(max_attempts=self.max_attempts, backoff=self.backoff,
                        retry_on=self.retry_on, chaos_seed=self.chaos_seed,
@@ -227,17 +229,15 @@ class ExperimentRunner:
         report = SuiteReport()
         try:
             for name, future in zip(selected, futures):
-                try:
-                    outcome = future.result()
-                except WorkerLost as exc:
-                    outcome = ExperimentOutcome(
-                        name=name, status="failed",
-                        attempts=future.attempts, duration_s=0.0,
-                        error=f"worker process died: {exc}")
-                else:
+                status, outcome, error = settle(future)
+                if status in COMPLETE_STATUSES:
                     outcome.attempts += future.attempts - 1
-                    if future.attempts > 1 and outcome.status == "ok":
+                    if status == "retried" and outcome.status == "ok":
                         outcome.status = "retried"
+                else:
+                    outcome = ExperimentOutcome(
+                        name=name, status=status, attempts=future.attempts,
+                        duration_s=0.0, error=error)
                 self._record(report, outcome)
         except BaseException:
             # A signal-driven unwind abandons in-flight experiments

@@ -23,11 +23,10 @@ property the aggregate-equality acceptance test leans on.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.conformance.recorder import seal_jsonl, unseal_jsonl
+from repro.conformance.recorder import seal_jsonl, unseal_jsonl, write_atomic
 from repro.errors import CheckpointError, ConformanceError
 from repro.fleet.plan import FleetPlan
 
@@ -96,9 +95,7 @@ class CheckpointStore:
         return self
 
     def save_plan(self) -> Path:
-        path = self.dir / "plan.json"
-        self._atomic_write(path, self.plan.to_json())
-        return path
+        return write_atomic(self.dir / "plan.json", self.plan.to_json())
 
     def clear(self) -> None:
         """Drop every shard file and injection tombstone (fresh run)."""
@@ -119,9 +116,8 @@ class CheckpointStore:
             raise CheckpointError(
                 f"checkpoint for plan {checkpoint.plan_digest} cannot "
                 f"enter the {self.plan_digest} namespace")
-        path = self.shard_path(checkpoint.shard_id)
-        self._atomic_write(path, checkpoint.to_jsonl())
-        return path
+        return write_atomic(self.shard_path(checkpoint.shard_id),
+                            checkpoint.to_jsonl())
 
     def load_shard(self, shard_id: int) -> ShardCheckpoint | None:
         """The shard's checkpoint, or None when missing/corrupt/foreign
@@ -159,12 +155,3 @@ class CheckpointStore:
         """
         self.marker_dir.mkdir(parents=True, exist_ok=True)
         return claim_tombstone(self.marker_dir / name)
-
-    # ---- internals -------------------------------------------------------
-
-    @staticmethod
-    def _atomic_write(path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)

@@ -34,13 +34,9 @@ from repro.fleet.plan import FleetPlan
 from repro.fleet.supervisor import FleetSupervisor
 from repro.specs.variation import VariationModel
 from repro.units import ms
+from repro.util.pool import EXIT_BY_STATUS
 
 DEFAULT_CKPT_DIR = "benchmarks/output/fleet"
-
-#: Distinct exit code for a signal-interrupted (but resumable) sweep.
-EXIT_INTERRUPTED = 75
-_EXIT_BY_STATUS = {"ok": 0, "degraded": 3, "failed": 1,
-                   "interrupted": EXIT_INTERRUPTED}
 
 
 def _shard_list(text: str) -> tuple[int, ...]:
@@ -127,10 +123,9 @@ def drive(plan: FleetPlan, ckpt_root: Path, *, jobs: int = 4,
           resume: bool = False, inject: bool = True) -> int:
     """Run (or resume) a sweep, flush outputs, return the exit code.
 
-    The shared driver behind ``repro-fleet run``/``resume`` and
-    ``scripts/run_paper.py --fleet``: installs signal handlers so
-    SIGINT/SIGTERM flush checkpoints and a partial aggregate before
-    exiting with :data:`EXIT_INTERRUPTED`.
+    The driver behind ``repro-fleet run``/``resume``: installs signal
+    handlers so SIGINT/SIGTERM flush checkpoints and a partial aggregate
+    before exiting with :data:`~repro.util.pool.EXIT_INTERRUPTED`.
     """
 
     def show(outcome) -> None:
@@ -147,7 +142,7 @@ def drive(plan: FleetPlan, ckpt_root: Path, *, jobs: int = 4,
                             install_signals=True)
     print(report.render())
     _write_outputs(supervisor, report)
-    return _EXIT_BY_STATUS[report.status]
+    return EXIT_BY_STATUS[report.status]
 
 
 def _run_or_resume(args: argparse.Namespace, *, resume: bool) -> int:

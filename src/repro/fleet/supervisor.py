@@ -14,11 +14,12 @@ Failure taxonomy (per shard, in the run report):
 * ``interrupted`` — still pending/in flight when SIGINT/SIGTERM stopped
   the run.
 
-Fleet status is ``ok`` (all ok/cached), ``degraded`` (everything
-completed-or-degraded, nothing failed/lost — the acceptance bar for a
-chaos sweep), ``failed``, or ``interrupted``. Every non-``ok`` sweep is
-resumable: completed shards live in the checkpoint namespace, and
-``resume`` runs only what is missing.
+Fleet status is ``interrupted``, or else the
+:func:`~repro.util.pool.rollup` every harness shares: ``ok`` (all
+ok/cached), ``degraded`` (everything completed-or-degraded, nothing
+failed/lost — the acceptance bar for a chaos sweep) or ``failed``.
+Every non-``ok`` sweep is resumable: completed shards live in the
+checkpoint namespace, and ``resume`` runs only what is missing.
 
 Worker death is recovered by :class:`~repro.util.pool.SupervisedPool`;
 its rebuild backoff gets *seeded* jitter from a generator derived from
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import signal
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +42,7 @@ from repro.fleet.checkpoint import CheckpointStore
 from repro.fleet.plan import FleetPlan
 from repro.fleet.worker import run_shard
 from repro.util.pool import (COMPLETE_STATUSES, PoolFuture, SupervisedPool,
-                             WorkerLost)
+                             rollup, settle)
 
 
 @dataclass
@@ -66,21 +67,14 @@ class FleetRunReport:
 
     @property
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for o in self.outcomes:
-            out[o.status] = out.get(o.status, 0) + 1
-        return out
+        return dict(Counter(o.status for o in self.outcomes))
 
     @property
     def status(self) -> str:
         statuses = {o.status for o in self.outcomes}
         if self.interrupted or "interrupted" in statuses:
             return "interrupted"
-        if statuses & {"failed", "lost"}:
-            return "failed"
-        if statuses <= {"ok", "cached"}:
-            return "ok"
-        return "degraded"
+        return rollup(statuses)
 
     def completed_shards(self) -> list[int]:
         return sorted(o.shard_id for o in self.outcomes
@@ -223,16 +217,10 @@ class FleetSupervisor:
                 done, _ = wait(set(in_flight), timeout=self.poll_s,
                                return_when=FIRST_COMPLETED)
                 for fut in done:
-                    try:
-                        checkpoint = fut.result()
-                    except WorkerLost:
-                        finish(fut, "lost", "worker died on every attempt")
-                    except Exception as exc:  # noqa: BLE001 — sweep must survive
-                        finish(fut, "failed", f"{type(exc).__name__}: {exc}")
-                    else:
+                    status, checkpoint, error = settle(fut)
+                    if status in COMPLETE_STATUSES:
                         self.store.write_shard(checkpoint)
-                        finish(fut, "ok" if fut.attempts == 1 else "retried",
-                               None)
+                    finish(fut, status, error)
                 # Straggler deadlines: degrade, never kill. The future is
                 # abandoned; a late result is ignored (no checkpoint).
                 # repro-lint: disable=det-wallclock — straggler deadline is a harness-side wall-clock budget

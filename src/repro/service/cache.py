@@ -24,13 +24,13 @@ assembled from runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.conformance import schema as _schema
 from repro.conformance.recorder import (content_digest, seal_jsonl,
-                                        sha256_hex, unseal_jsonl)
+                                        sha256_hex, unseal_jsonl,
+                                        write_atomic)
 from repro.errors import ConformanceError, ServiceError
 
 RESULT_FORMAT = "repro-service-result"
@@ -126,12 +126,7 @@ class ResultCache:
         return self.root / f"{cache_key}.result.jsonl"
 
     def put(self, entry: CacheEntry) -> Path:
-        path = self.path(entry.cache_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(entry.to_jsonl(), encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        return write_atomic(self.path(entry.cache_key), entry.to_jsonl())
 
     def get(self, cache_key: str) -> CacheEntry | None:
         """The verified entry for a key, or None (miss).

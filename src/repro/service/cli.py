@@ -15,9 +15,11 @@ the unix socket under ``--state-root``. ``submit`` prints the job id
 and returns immediately unless ``--wait`` follows the job to
 completion.
 
-Exit codes (``submit --wait`` and ``watch``): 0 — job ``ok``; 3 — job
-``degraded`` (complete, but workers died and tasks were retried or
-lost); 1 — job ``failed``/``cancelled``, or a usage/connection error.
+Exit codes (``submit --wait`` and ``watch``) come from
+:data:`~repro.util.pool.EXIT_BY_STATUS`, as for ``repro-fleet``: 0 —
+job ``ok``; 3 — job ``degraded`` (complete, but workers died and tasks
+were retried); 1 — job ``failed`` (a task failed or was lost) or
+``cancelled``, or a usage/connection error.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from repro.service.core import ExperimentService
 from repro.service.server import serve, socket_path
 from repro.service.sweep import SweepRequest
 from repro.units import ms
+from repro.util.pool import EXIT_BY_STATUS
 
 DEFAULT_STATE_ROOT = "benchmarks/output/service"
-
-_EXIT_BY_STATE = {"ok": 0, "degraded": 3, "failed": 1, "cancelled": 1}
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -103,7 +104,7 @@ def _follow(client: ServiceClient, job_id: str) -> int:
         print(f"{final['job_id']}: {final['state']} "
               f"({final['cache_hits']} cache hits, "
               f"{final['pool_rebuilds']} pool rebuilds)")
-    return _EXIT_BY_STATE.get(final.get("state", "failed"), 1)
+    return EXIT_BY_STATUS.get(final.get("state", "failed"), 1)
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

@@ -15,9 +15,11 @@ Task taxonomy (per task, in the job's run report): ``cached`` — served
 from a verified cache entry; ``ok`` — computed on the first attempt;
 ``retried`` — computed after surviving at least one pool rebuild;
 ``lost`` — its worker died on every allowed attempt; ``failed`` — the
-scenario raised a real exception; ``cancelled``. Job status is ``ok``
-(all cached/ok), ``degraded`` (complete, but something retried or was
-lost), ``failed``, or ``cancelled``.
+scenario raised a real exception; ``cancelled``. Task statuses and the
+job status come from :func:`~repro.util.pool.settle` and
+:func:`~repro.util.pool.rollup`, exactly as for the fleet: a job is
+``ok`` (all cached/ok), ``degraded`` (complete, but something was
+retried), ``failed`` (a task failed or was lost), or ``cancelled``.
 
 Each finished job writes two files, mirroring the fleet's
 aggregate/run-report split: ``results.json`` holds only the canonical
@@ -30,7 +32,9 @@ holds the dynamics (hits, attempts, rebuilds) that are deliberately
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +48,7 @@ from repro.service.dataset import (DEFAULT_SEARCH_DIRS, HostDataset,
                                    load_dataset, resolve_dataset)
 from repro.service.sweep import SweepRequest, TaskSpec, expand_sweep
 from repro.util.pool import (COMPLETE_STATUSES, PoolFuture, SupervisedPool,
-                             WorkerLost)
+                             rollup, settle)
 
 RESULTS_FORMAT = "repro-service-results"
 
@@ -112,10 +116,7 @@ class Job:
     cond: asyncio.Condition = field(default_factory=asyncio.Condition)
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for t in self.tasks:
-            out[t.status] = out.get(t.status, 0) + 1
-        return out
+        return dict(Counter(t.status for t in self.tasks))
 
     def status_dict(self) -> dict:
         return {"job_id": self.job_id, "name": self.request.name,
@@ -327,14 +328,7 @@ class ExperimentService:
         finally:
             for fut in futures:
                 fut.cancel()        # abandon whatever is still unfinished
-        statuses = {t.status for t in job.tasks}
-        if statuses & {"failed"}:
-            state = "failed"
-        elif statuses <= {"cached", "ok"}:
-            state = "ok"
-        else:
-            state = "degraded"
-        await self._settle(job, state)
+        await self._settle(job, rollup(t.status for t in job.tasks))
 
     async def _execute(self, job: Job, task: TaskState, marker_dir: Path,
                        futures: list[PoolFuture]) -> None:
@@ -349,16 +343,11 @@ class ExperimentService:
             fut = self._pool.submit(execute_task, task.spec.manifest.to_dict(),
                                     crash, max_attempts=job.request.max_attempts)
             futures.append(fut)
-            try:
-                payload = await asyncio.wrap_future(fut)
-            except WorkerLost:
-                status, error = "lost", "worker died on every attempt"
-            except Exception as exc:  # noqa: BLE001 — job must survive
-                status, error = "failed", f"{type(exc).__name__}: {exc}"
-            else:
+            with contextlib.suppress(Exception):    # settle() names it
+                await asyncio.wrap_future(fut)
+            status, payload, error = settle(fut)
+            if status in COMPLETE_STATUSES:
                 self._store_result(job, task, payload)
-                status = "ok" if fut.attempts == 1 else "retried"
-                error = None
         task.attempts = fut.attempts
         # Each pool rebuild that requeued this job's tasks is reported
         # once, when the first of its victims settles.

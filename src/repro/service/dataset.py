@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.conformance.recorder import seal_jsonl, sha256_hex, unseal_jsonl
+from repro.conformance.recorder import (seal_jsonl, sha256_hex, unseal_jsonl,
+                                       write_atomic)
 from repro.errors import ConformanceError, DatasetError, MsrError
 from repro.hostif import VirtualHost
 from repro.hostif.msr_regs import HostMsr
@@ -283,12 +284,7 @@ def render_diff(diffs: list[DatasetDiff]) -> str:
 # ---- files and name resolution ----------------------------------------------
 
 def save_dataset(dataset: HostDataset, path: Path | str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(dataset.to_jsonl(), encoding="utf-8")
-    tmp.replace(path)
-    return path
+    return write_atomic(Path(path), dataset.to_jsonl())
 
 
 def load_dataset(path: Path | str) -> HostDataset:

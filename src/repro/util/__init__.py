@@ -1,5 +1,7 @@
-"""Cross-cutting utilities (retry policies, backoff)."""
+"""Cross-cutting utilities: the retry policy (``Backoff``, the
+retryable error set) and the supervised process pool with the outcome
+policy every harness shares (``repro.util.pool``)."""
 
-from repro.util.retry import Backoff, RetryResult, call_with_retry, retry
+from repro.util.retry import Backoff
 
-__all__ = ["Backoff", "RetryResult", "call_with_retry", "retry"]
+__all__ = ["Backoff"]

@@ -1,4 +1,5 @@
-"""One crash-recovering process pool for the runner, fleet and service.
+"""One crash-recovering process pool for the runner, fleet and service,
+and the one outcome policy all three report with.
 
 A worker that dies (an OOM kill, ``os._exit``, a segfault) breaks a
 whole ``ProcessPoolExecutor``: every unfinished future fails, innocent
@@ -7,6 +8,11 @@ generation, however many futures or consumers see the break, and
 resubmits every victim that has attempts left and was not cancelled.
 Every submission counts as an attempt, so a consumer that wants only
 running calls charged keeps at most ``max_workers`` in flight.
+
+:func:`settle` names a finished task's outcome, :func:`rollup` turns a
+run's task statuses into its verdict, and :data:`EXIT_BY_STATUS` maps
+that verdict to the exit code of ``repro-fleet`` and ``repro-service``
+(``scripts/run_paper.py`` shares :data:`EXIT_INTERRUPTED`).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import threading
 import time
 from concurrent.futures import (BrokenExecutor, Future, InvalidStateError,
                                 ProcessPoolExecutor)
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.util.retry import Backoff
 
@@ -156,3 +162,41 @@ class SupervisedPool:
                 future.set_exception(error)
         except InvalidStateError:
             pass                # cancelled by its consumer: abandoned
+
+
+def settle(future: PoolFuture) -> tuple[str, object, str | None]:
+    """``(status, result, error)`` of a finished :class:`PoolFuture`.
+
+    ``ok`` on the first attempt, ``retried`` after a requeue, ``lost``
+    when its worker died on every attempt, ``failed`` when the task
+    raised (a bug, or a call that never reached a worker).
+    """
+    try:
+        result = future.result()
+    except WorkerLost:
+        return "lost", None, "worker died on every attempt"
+    except Exception as exc:  # noqa: BLE001 — one task, one outcome
+        return "failed", None, f"{type(exc).__name__}: {exc}"
+    return ("ok" if future.attempts == 1 else "retried"), result, None
+
+
+#: Exit code of a run that SIGINT/SIGTERM stopped after flushing its
+#: partial report: distinct from failure, because the run is resumable.
+EXIT_INTERRUPTED = 75
+
+#: Exit code by run status (the value :func:`rollup` returns, or a
+#: harness's own ``cancelled``/``interrupted``).
+EXIT_BY_STATUS = {"ok": 0, "degraded": 3, "failed": 1, "cancelled": 1,
+                  "interrupted": EXIT_INTERRUPTED}
+
+
+def rollup(statuses: Iterable[str]) -> str:
+    """A run's verdict from its task statuses: ``failed`` if any task
+    failed or was lost, ``ok`` if every task is ok or cached, else
+    ``degraded``."""
+    statuses = set(statuses)
+    if statuses & {"failed", "lost"}:
+        return "failed"
+    if statuses <= {"ok", "cached"}:
+        return "ok"
+    return "degraded"

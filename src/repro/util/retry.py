@@ -1,4 +1,8 @@
-"""Retry with exponential backoff for transient faults.
+"""The retry policy: which errors are transient, and how long to back off.
+
+The one retry loop is :meth:`repro.faults.runner.ExperimentRunner._run_one`
+(it reseeds the fault plan between attempts); the supervised process
+pool sleeps :class:`Backoff` before it rebuilds a broken executor.
 
 The default retryable set is what the fault-injection subsystem (and
 real measurement campaigns) produce transiently: ``TransientFaultError``
@@ -10,13 +14,10 @@ every time.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.errors import MeasurementError, TransientFaultError
-
-T = TypeVar("T")
 
 #: Exception classes retried by default.
 DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
@@ -64,74 +65,3 @@ class Backoff:
 
     def delays(self, n: int) -> Iterator[float]:
         return (self.delay_s(i) for i in range(1, n + 1))
-
-
-@dataclass
-class RetryResult:
-    """Outcome of :func:`call_with_retry`: the value plus the history."""
-
-    value: object
-    attempts: int
-    errors: list[BaseException] = field(default_factory=list)
-
-    @property
-    def retried(self) -> bool:
-        return self.attempts > 1
-
-
-def call_with_retry(
-    fn: Callable[[], T],
-    *,
-    max_attempts: int = 3,
-    retry_on: Sequence[type[BaseException]] = DEFAULT_RETRYABLE,
-    backoff: Backoff = Backoff(),
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> RetryResult:
-    """Call ``fn`` until it succeeds or attempts are exhausted.
-
-    Raises the last retryable error once ``max_attempts`` is reached;
-    non-retryable errors propagate immediately. ``on_retry(attempt,
-    error)`` runs before each re-attempt — the experiment runner uses it
-    to bump the chaos epoch (the reseed) and checkpoint partial state.
-    """
-    if max_attempts < 1:
-        raise ValueError("need at least one attempt")
-    retryable = tuple(retry_on)
-    errors: list[BaseException] = []
-    for attempt in range(1, max_attempts + 1):
-        try:
-            return RetryResult(value=fn(), attempts=attempt, errors=errors)
-        except retryable as exc:
-            errors.append(exc)
-            if attempt == max_attempts:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            sleep(backoff.delay_s(attempt))
-    raise AssertionError("unreachable")
-
-
-def retry(
-    *,
-    max_attempts: int = 3,
-    retry_on: Sequence[type[BaseException]] = DEFAULT_RETRYABLE,
-    backoff: Backoff = Backoff(),
-    sleep: Callable[[float], None] = time.sleep,
-):
-    """Decorator form: ``@retry(max_attempts=4)`` on any callable."""
-
-    def decorate(fn: Callable[..., T]) -> Callable[..., T]:
-        def wrapper(*args, **kwargs) -> T:
-            result = call_with_retry(
-                lambda: fn(*args, **kwargs),
-                max_attempts=max_attempts, retry_on=retry_on,
-                backoff=backoff, sleep=sleep)
-            return result.value  # type: ignore[return-value]
-
-        wrapper.__name__ = getattr(fn, "__name__", "wrapped")
-        wrapper.__doc__ = fn.__doc__
-        wrapper.__wrapped__ = fn
-        return wrapper
-
-    return decorate

@@ -99,3 +99,29 @@ class TestPackaging:
 
         config = tomllib.loads((REPO / "pyproject.toml").read_text())
         assert repro.__version__ == config["project"]["version"]
+
+
+def test_documented_run_paper_flags_exist():
+    """Every ``--flag`` the README, docs or Makefile pass to
+    ``scripts/run_paper.py`` is one its ``--help`` lists."""
+    import os
+    import subprocess
+    import sys
+
+    sources = [REPO / "README.md", REPO / "Makefile",
+               *sorted((REPO / "docs").glob("*.md"))]
+    documented = set()
+    for path in sources:
+        text = path.read_text().replace("\\\n", " ")  # join continuations
+        for args in re.findall(r"scripts/run_paper\.py([^`\n]*)", text):
+            documented.update(re.findall(r"(?<![\w-])--[a-z][\w-]*",
+                                         args.split("#")[0]))
+    assert "--chaos" in documented
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    listed = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_paper.py"), "--help"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    missing = sorted(flag for flag in documented
+                     if not re.search(rf"(?<![\w-]){flag}(?![\w-])", listed))
+    assert not missing, f"documented but not accepted: {missing}"

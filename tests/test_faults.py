@@ -27,7 +27,7 @@ from repro.specs.node import HASWELL_TEST_NODE
 from repro.system.msr import MSR, MsrSpace
 from repro.system.node import build_node
 from repro.units import ms, seconds
-from repro.util.retry import Backoff, call_with_retry, retry
+from repro.util.retry import Backoff
 from repro.workloads.micro import compute
 
 
@@ -252,50 +252,6 @@ class TestRetry:
         b = Backoff(initial_s=0.1, factor=2.0, max_delay_s=0.5)
         assert list(b.delays(4)) == [0.1, 0.2, 0.4, 0.5]
 
-    def test_recovers_transient(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise TransientFaultError("transient")
-            return "ok"
-
-        result = call_with_retry(flaky, max_attempts=4, sleep=lambda _s: None)
-        assert result.value == "ok"
-        assert result.attempts == 3
-        assert result.retried
-
-    def test_exhaustion_raises_last_error(self):
-        def always():
-            raise TransientFaultError("never recovers")
-
-        with pytest.raises(TransientFaultError):
-            call_with_retry(always, max_attempts=2, sleep=lambda _s: None)
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise ValueError("structural")
-
-        with pytest.raises(ValueError):
-            call_with_retry(broken, max_attempts=5, sleep=lambda _s: None)
-        assert len(calls) == 1
-
-    def test_decorator(self):
-        state = {"n": 0}
-
-        @retry(max_attempts=3, sleep=lambda _s: None)
-        def sometimes():
-            state["n"] += 1
-            if state["n"] < 2:
-                raise MeasurementError("no samples")
-            return state["n"]
-
-        assert sometimes() == 2
-
 
 # ---- experiment runner ---------------------------------------------------
 
@@ -354,6 +310,37 @@ class TestExperimentRunner:
              ExperimentSpec("fine", lambda: "good", timeout_s=5)],
             sleep=lambda _s: None, max_attempts=2).run()
         assert [o.status for o in report.outcomes] == ["degraded", "ok"]
+
+    def test_transient_then_ok_is_retried(self):
+        calls = []
+
+        def flaky():
+            calls.append(1)
+            if len(calls) < 3:
+                raise MeasurementError("no samples")
+            return "recovered"
+
+        report = ExperimentRunner(
+            [ExperimentSpec("flaky", flaky, timeout_s=5)],
+            sleep=lambda _s: None, max_attempts=4).run()
+        [outcome] = report.outcomes
+        assert (outcome.status, outcome.attempts) == ("retried", 3)
+        assert outcome.text == "recovered"
+
+    def test_non_retryable_fails_on_first_attempt(self):
+        calls = []
+
+        def broken():
+            calls.append(1)
+            raise ValueError("structural")
+
+        report = ExperimentRunner(
+            [ExperimentSpec("broken", broken, timeout_s=5)],
+            sleep=lambda _s: None, max_attempts=5).run()
+        [outcome] = report.outcomes
+        assert (outcome.status, outcome.attempts) == ("failed", 1)
+        assert outcome.error == "ValueError: structural"
+        assert len(calls) == 1
 
     def test_timeout_reported_as_failed(self):
         import time as _time

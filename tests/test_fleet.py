@@ -359,9 +359,19 @@ class TestRunnerWorkerCrashRecovery:
             jobs=2, max_attempts=2, sleep=lambda _s: None)
         report = runner.run(["doomed"])
         outcome = report.outcomes[0]
-        assert outcome.status == "failed"
+        assert outcome.status == "lost"
         assert outcome.attempts == 2
-        assert "worker process died" in outcome.error
+        assert "worker died" in outcome.error
+        assert report.hard_failures == [outcome]
+
+    def test_unpicklable_builder_fails_alone(self):
+        runner = ExperimentRunner(
+            [ExperimentSpec("lam", lambda: "never pickled\n"),
+             ExperimentSpec("steady", _ok_builder)],
+            jobs=2, sleep=lambda _s: None)
+        report = runner.run()
+        assert [(o.name, o.status) for o in report.outcomes] == [
+            ("lam", "failed"), ("steady", "ok")]
 
 
 def _always_crash() -> str:

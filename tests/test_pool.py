@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from repro.util.pool import REBUILD_BACKOFF, SupervisedPool, WorkerLost
+from repro.util.pool import (EXIT_BY_STATUS, REBUILD_BACKOFF, PoolFuture,
+                             SupervisedPool, WorkerLost, rollup, settle)
 
 TIMEOUT_S = 60
 
@@ -135,3 +136,44 @@ def test_kill_shutdown_leaves_no_live_children(tmp_path):
     assert not spawned & alive
     with pytest.raises(RuntimeError, match="shut down"):
         pool.submit(_nap, 0.0)
+
+
+# ---- the outcome policy every harness shares -----------------------------
+
+
+def _finished(attempts: int, *, result=None, error=None) -> PoolFuture:
+    fut = PoolFuture(_nap, (0.0,), max_attempts=3)
+    fut.attempts = attempts
+    if error is None:
+        fut.set_result(result)
+    else:
+        fut.set_exception(error)
+    return fut
+
+
+@pytest.mark.parametrize("attempts, error, expected", [
+    (1, None, ("ok", "rested", None)),
+    (2, None, ("retried", "rested", None)),
+    (3, WorkerLost("broken"), ("lost", None, "worker died on every attempt")),
+    (1, ValueError("bad input"), ("failed", None, "ValueError: bad input")),
+])
+def test_settle_names_each_outcome(attempts, error, expected):
+    fut = _finished(attempts, result="rested", error=error)
+    assert settle(fut) == expected
+
+
+@pytest.mark.parametrize("statuses, verdict", [
+    ({"lost"}, "failed"),
+    ({"ok", "degraded"}, "degraded"),
+    ({"cached", "ok"}, "ok"),
+    ({"failed", "ok"}, "failed"),
+])
+def test_rollup_verdicts(statuses, verdict):
+    assert rollup(statuses) == verdict
+
+
+def test_exit_codes_by_status():
+    assert {status: EXIT_BY_STATUS[status] for status in
+            ("ok", "degraded", "failed", "cancelled", "interrupted")} == {
+        "ok": 0, "degraded": 3, "failed": 1, "cancelled": 1,
+        "interrupted": 75}

@@ -321,7 +321,7 @@ def test_exhausted_attempts_mark_task_lost(tmp_path):
         return status, results
 
     status, results = asyncio.run(scenario())
-    assert status["state"] == "degraded"
+    assert status["state"] == "failed"
     assert status["counts"] == {"lost": 1}
     assert results["complete"] is False
     assert results["records"] == []
