@@ -54,12 +54,9 @@ import signal
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parents[1] / "benchmarks"))
-
-from conftest import OUTPUT_DIR, write_artifact  # noqa: E402
-
-from repro.cstates.states import CState  # noqa: E402
-from repro.experiments import (  # noqa: E402
+from repro.conformance.recorder import write_atomic
+from repro.cstates.states import CState
+from repro.experiments import (
     ExperimentRunner,
     ExperimentSpec,
     render_cstate_figure,
@@ -87,11 +84,13 @@ from repro.experiments import (  # noqa: E402
     run_table4,
     run_table5,
 )
-from repro.experiments.fig4_mechanism import (  # noqa: E402
+from repro.experiments.fig4_mechanism import (
     estimate_mechanism,
     render_fig4,
 )
-from repro.util.pool import EXIT_INTERRUPTED  # noqa: E402
+from repro.util.pool import EXIT_INTERRUPTED
+
+OUTPUT_DIR = Path(__file__).parents[1] / "benchmarks" / "output"
 
 
 # ---- experiment builders ----------------------------------------------------
@@ -219,7 +218,7 @@ def _experiments(full: bool) -> dict:
 
 
 def _artifact_writer(name: str, text: str) -> Path:
-    return write_artifact(f"run_paper_{name}", text)
+    return write_atomic(OUTPUT_DIR / f"run_paper_{name}.txt", text + "\n")
 
 
 class _Interrupted(BaseException):

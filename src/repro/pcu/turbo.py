@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.engine.rng import DrawBatch
 from repro.pcu.epb import Epb
 from repro.power.model import PowerModel
 from repro.specs.cpu import CpuSpec
+from repro.util.roots import brentq
 
 # Uncore/core clock-parity ratio the PCU maintains when both domains are
 # power constrained (balanced EPB).
@@ -67,7 +67,7 @@ class TdpLimiter:
         # The solve is a pure function of its inputs; workloads present
         # a small rotating set of (target, activity, ufs) points —
         # steady fleets one, phase-cycling fleets one per phase mix —
-        # so memoize the expensive brentq solve per input point and
+        # so memoize the Brent solve per input point and
         # re-dither on top (:meth:`grant`). A single-entry cache
         # thrashes as soon as two phase mixes alternate.
         self._solve_memo: dict[tuple, tuple[float, float, bool]] = {}
@@ -197,7 +197,7 @@ class TdpLimiter:
             if excess(lo) >= 0.0:
                 f_core = lo
             else:
-                f_core = float(brentq(excess, lo, hi, xtol=1e5))
+                f_core = brentq(excess, lo, hi, xtol=1e5)
             return f_core, fu_parity(f_core), True
         if p_at_request > NEAR_BUDGET_UTILIZATION * budget:
             # Near the edge: undershoot the core, hand headroom to uncore —

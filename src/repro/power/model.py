@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from repro.errors import ConfigurationError
 from repro.specs.cpu import CpuSpec
 from repro.units import to_ghz
+from repro.util.roots import brentq
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ class PowerModel:
             return lo
         if excess(hi) <= 0.0:
             return hi
-        return float(brentq(excess, lo, hi, xtol=1e5))
+        return brentq(excess, lo, hi, xtol=1e5)
 
     def solve_core_for_budget(self, activity_sum: float, budget_w: float,
                               uncore_parity: float = 1.01) -> float:
@@ -150,4 +149,4 @@ class PowerModel:
             return lo
         if excess(hi) <= 0.0:
             return hi
-        return float(brentq(excess, lo, hi, xtol=1e5))
+        return brentq(excess, lo, hi, xtol=1e5)

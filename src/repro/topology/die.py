@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class ComponentKind(enum.Enum):
@@ -99,6 +101,8 @@ class Die:
         queue pairs bridge partitions. Edge attribute ``kind`` is ``ring``
         or ``queue``.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for part in self.partitions:
             stops = part.components

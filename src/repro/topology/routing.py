@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
 from repro.topology.die import Die
 
@@ -72,6 +70,8 @@ def derated_link_bandwidth_gbs(base_gbs: float,
 
 def ring_path(die: Die, src_name: str, dst_name: str) -> list[str]:
     """Shortest stop-to-stop path on the die."""
+    import networkx as nx
+
     return nx.shortest_path(die.to_graph(), src_name, dst_name)
 
 
@@ -87,6 +87,8 @@ def average_core_l3_hops(die: Die) -> float:
     distance distribution is the L3 access distance distribution under
     the default address-hashed slice interleaving.
     """
+    import networkx as nx
+
     graph = die.to_graph()
     cores = [c.name for c in die.enabled_cores]
     lengths = dict(nx.all_pairs_shortest_path_length(graph))
@@ -102,6 +104,8 @@ def average_core_l3_hops(die: Die) -> float:
 
 def average_core_imc_hops(die: Die) -> float:
     """Mean hop distance from an enabled core to its nearest IMC."""
+    import networkx as nx
+
     graph = die.to_graph()
     imcs = [c.name for p in die.partitions for c in p.imcs]
     lengths = dict(nx.all_pairs_shortest_path_length(graph))

@@ -125,3 +125,39 @@ def test_documented_run_paper_flags_exist():
     missing = sorted(flag for flag in documented
                      if not re.search(rf"(?<![\w-]){flag}(?![\w-])", listed))
     assert not missing, f"documented but not accepted: {missing}"
+
+
+HEAVY_DEPS = ("scipy", "networkx", "pytest", "_pytest")
+
+_RUN_PATHS = {
+    "import repro": "import repro",
+    **{module: f"import {module}" for module in (
+        "repro.fleet.cli", "repro.fleet.worker", "repro.service.cli",
+        "repro.service.core", "repro.tools.pepcctl")},
+    # the way perfbench loads it
+    "scripts/run_paper.py": (
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('run_paper', "
+        f"{str(REPO / 'scripts' / 'run_paper.py')!r})\n"
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))"),
+}
+
+
+def test_run_paths_import_no_heavy_deps():
+    """No run path pays for scipy, networkx or pytest at start-up: the
+    Brent solve is ``repro.util.roots``, networkx loads inside the
+    topology functions that use it, and run_paper writes its artifacts
+    without the benchmark conftest."""
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    report = f"import sys; print(sorted(set({HEAVY_DEPS!r}) & set(sys.modules)))"
+    loaded = {
+        path: subprocess.run(
+            [sys.executable, "-c", f"{code}\n{report}"], capture_output=True,
+            text=True, env=env, check=True).stdout.strip().splitlines()[-1]
+        for path, code in _RUN_PATHS.items()}
+    assert loaded == {path: "[]" for path in _RUN_PATHS}
