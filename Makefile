@@ -47,6 +47,8 @@ coverage:
 		--cov-report=term --cov-fail-under=$(COVERAGE_FLOOR); \
 	else echo "pytest-cov not installed; skipped coverage gate"; fi
 
+# The extension studies (study_*, ablation_*); the paper's tables and
+# figures are `make experiments`.
 bench: bench-simcore
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
@@ -64,6 +66,7 @@ bench-check:
 	$(PYTHON) benchmarks/perf/bench_simcore.py --check --smoke \
 		--repeats 5 --check-tolerance 0.5
 
+# The extension studies at their paper-length parameterizations.
 bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
@@ -101,8 +104,11 @@ fleet-smoke:
 service-smoke:
 	$(PYTHON) scripts/service_smoke.py
 
+# Every paper table and figure at the default size: rewrites the
+# run_paper_*.txt artifacts, run_paper_report.json and EXPERIMENTS.md,
+# and fails if an experiment hard-fails or a paper claim deviates.
 experiments:
-	$(PYTHON) scripts/generate_experiments_md.py
+	$(PYTHON) scripts/run_paper.py --strict
 
 examples:
 	@for script in examples/*.py; do \

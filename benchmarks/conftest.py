@@ -1,12 +1,11 @@
 """Benchmark-harness helpers.
 
-Each benchmark regenerates one table/figure of the paper, asserts the
-paper's qualitative findings (who wins, by roughly what factor, where
-crossovers fall), and writes the rendered artifact to
+Each benchmark runs one extension study (``study_*``, ``ablation_*``),
+asserts its findings, and writes the rendered artifact to
 ``benchmarks/output/``. Set ``REPRO_FULL=1`` to run the paper-length
-parameterizations (50 one-second samples, 4 s averaging windows, 1000
-FTaLaT samples, 60 s max-power windows); the default scales these down
-to keep the harness fast while preserving every shape.
+parameterizations; the default scales these down to keep the harness
+fast while preserving every shape. The paper's own tables and figures
+are ``scripts/run_paper.py``'s catalogue (``repro.experiments.catalog``).
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """One-shot paper reproduction: run every table/figure, print and save.
 
-A pytest-free driver for users who just want the artifacts:
+    python scripts/run_paper.py [--full] [--only table4 fig3 ...] [--strict]
 
-    python scripts/run_paper.py [--full] [--only table4 fig3 ...]
+The experiments, their sizes and seeds, and the paper claims each one
+owns come from the catalogue (``repro.experiments.catalog``). When every
+experiment produced a result and ``--chaos`` is off, the claims are
+checked on those results and printed; ``--strict`` then also exits 1 on
+any deviating claim.
 
 Every experiment runs under the resilient harness
 (``repro.faults.runner``): a per-experiment wall-clock timeout,
@@ -39,8 +43,10 @@ flushed (``run_paper_report.partial.json``) and the process exits with
 the distinct code 75 so callers can tell "interrupted but resumable"
 from failure.
 
-Artifacts land in benchmarks/output/ (same files the benchmark harness
-writes), plus run_paper_report.json with the per-experiment outcomes.
+Artifacts land in benchmarks/output/run_paper_*.txt. The full default
+suite (no ``--only``, ``--chaos`` or ``--full``) also writes the committed
+run_paper_report.json with the per-experiment outcomes and, when every
+experiment succeeded, the paper-vs-measured EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -55,127 +61,23 @@ import sys
 from pathlib import Path
 
 from repro.conformance.recorder import write_atomic
-from repro.cstates.states import CState
-from repro.experiments import (
+# perfbench loads this script and reads the fig2/table5 run/render
+# pairs from it; the runner names are also used below.
+from repro.experiments import (  # noqa: F401
     ExperimentRunner,
     ExperimentSpec,
-    render_cstate_figure,
-    render_fig1,
     render_fig2,
-    render_fig3,
-    render_fig7,
-    render_fig8,
-    render_hostif_parity,
-    render_table1,
-    render_table2,
-    render_table3,
-    render_table4,
     render_table5,
-    run_cstate_figure,
-    run_fig1,
     run_fig2,
-    run_fig3,
-    run_fig7,
-    run_fig8,
-    run_hostif_parity,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
     run_table5,
 )
-from repro.experiments.fig4_mechanism import (
-    estimate_mechanism,
-    render_fig4,
-)
+from repro.experiments.catalog import CATALOG, build, check_claims
 from repro.util.pool import EXIT_INTERRUPTED
+from repro.validation.expectations import render_report
+from repro.validation.report import write_experiments_md
 
-OUTPUT_DIR = Path(__file__).parents[1] / "benchmarks" / "output"
-
-
-# ---- experiment builders ----------------------------------------------------
-# Module-level functions (not lambdas) so specs pickle into --jobs worker
-# processes; each takes the --full flag and returns the rendered artifact.
-
-def _build_table1(full: bool) -> str:
-    return render_table1(run_table1())
-
-
-def _build_fig1(full: bool) -> str:
-    return render_fig1(run_fig1())
-
-
-def _build_table2(full: bool) -> str:
-    return render_table2(run_table2(measure_s=4.0 if full else 1.5))
-
-
-def _build_fig2(full: bool) -> str:
-    return "\n\n".join(
-        render_fig2(run_fig2(arch, measure_s=4.0 if full else 1.0))
-        for arch in ("haswell", "sandybridge"))
-
-
-def _build_table3(full: bool) -> str:
-    return render_table3(run_table3(measure_s=10.0 if full else 1.0))
-
-
-def _build_table4(full: bool) -> str:
-    return render_table4(run_table4(n_samples=50 if full else 8))
-
-
-def _build_fig3(full: bool) -> str:
-    return render_fig3(run_fig3(n_samples=1000 if full else 250))
-
-
-def _build_fig4(full: bool) -> str:
-    return render_fig4(estimate_mechanism(n_samples=400 if full else 200))
-
-
-def _build_fig5(full: bool) -> str:
-    return render_cstate_figure(
-        run_cstate_figure(CState.C3, n_samples=30 if full else 8))
-
-
-def _build_fig6(full: bool) -> str:
-    return render_cstate_figure(
-        run_cstate_figure(CState.C6, n_samples=30 if full else 8))
-
-
-def _build_fig7(full: bool) -> str:
-    return render_fig7(run_fig7())
-
-
-def _build_fig8(full: bool) -> str:
-    return render_fig8(run_fig8())
-
-
-def _build_table5(full: bool) -> str:
-    return render_table5(run_table5(measure_s=75.0 if full else 20.0,
-                                    window_s=60.0 if full else 15.0))
-
-
-def _build_hostif(full: bool) -> str:
-    from repro.units import ms
-    return render_hostif_parity(
-        run_hostif_parity(measure_ns=ms(50) if full else ms(20)))
-
-
-_BUILDERS = {
-    "table1": _build_table1,
-    "fig1": _build_fig1,
-    "table2": _build_table2,
-    "fig2": _build_fig2,
-    "table3": _build_table3,
-    "table4": _build_table4,
-    "fig3": _build_fig3,
-    "fig4": _build_fig4,
-    "fig5": _build_fig5,
-    "fig6": _build_fig6,
-    "fig7": _build_fig7,
-    "fig8": _build_fig8,
-    "table5": _build_table5,
-    "hostif": _build_hostif,
-}
+REPO = Path(__file__).parents[1]
+OUTPUT_DIR = REPO / "benchmarks" / "output"
 
 
 class _ProfiledBuilder:
@@ -190,7 +92,7 @@ class _ProfiledBuilder:
         self.build = build
         self.out_dir = out_dir
 
-    def __call__(self) -> str:
+    def __call__(self):
         profiler = cProfile.Profile()
         try:
             return profiler.runcall(self.build)
@@ -213,8 +115,8 @@ def _print_profile_summary(name: str, pstats_path: Path, top: int = 20) -> None:
 
 
 def _experiments(full: bool) -> dict:
-    return {name: functools.partial(build, full)
-            for name, build in _BUILDERS.items()}
+    """Catalogue name -> picklable zero-argument build, in suite order."""
+    return {name: functools.partial(build, name, full) for name in CATALOG}
 
 
 def _artifact_writer(name: str, text: str) -> Path:
@@ -299,7 +201,8 @@ def main() -> int:
     parser.add_argument("--max-attempts", type=int, default=3,
                         help="attempts per experiment on transient faults")
     parser.add_argument("--strict", action="store_true",
-                        help="exit nonzero if any experiment hard-failed")
+                        help="exit nonzero if any experiment hard-failed "
+                             "or a checked paper claim deviates")
     args = parser.parse_args()
 
     if args.record is not None and args.replay is not None:
@@ -412,8 +315,26 @@ def main() -> int:
     report_path.write_text(report.to_stable_json())
     print(f"report -> {report_path}")
 
+    # The paper's claims need every experiment's result, and chaos
+    # perturbs the results by design: subset and chaos runs check none.
+    results = {o.name: o.result for o in report.outcomes
+               if o.result is not None}
+    claims = (check_claims(results)
+              if args.chaos is None and results.keys() == CATALOG.keys()
+              else [])
+    deviating = [c for c in claims if not c.ok]
+    if claims:
+        print(render_report(claims))
+        if canonical:
+            write_experiments_md(REPO / "EXPERIMENTS.md", claims)
+            print(f"claims -> {REPO / 'EXPERIMENTS.md'}")
+
     if args.strict and report.hard_failures:
         print(f"STRICT: {len(report.hard_failures)} hard failure(s)",
+              file=sys.stderr)
+        return 1
+    if args.strict and deviating:
+        print(f"STRICT: {len(deviating)} paper claim(s) deviate",
               file=sys.stderr)
         return 1
     return 0

@@ -2,8 +2,9 @@
 
 Each module exposes a ``run_*`` function returning a structured result
 plus a ``render_*`` helper that prints the same rows/series the paper
-reports. The benchmark harness in ``benchmarks/`` and the examples both
-call into these.
+reports. ``repro.experiments.catalog`` sizes the paper's 14 of them and
+owns their claims; the extension-study benchmarks in ``benchmarks/``
+and the examples call into these too.
 """
 
 from repro.experiments.table1_microarch import run_table1, render_table1

@@ -44,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import TransientFaultError
 from repro.faults import chaos
@@ -54,12 +54,23 @@ from repro.util.retry import DEFAULT_RETRYABLE, Backoff
 
 
 @dataclass(frozen=True)
+class Built:
+    """A build's rendered artifact plus the structured result behind it.
+
+    The result rides on the outcome for the caller (run_paper checks the
+    paper's claims on it) but never enters a record or report."""
+
+    text: str
+    result: Any
+
+
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One runnable table/figure: a name and a zero-argument builder
-    returning the rendered artifact text."""
+    returning the rendered artifact text, or a :class:`Built`."""
 
     name: str
-    build: Callable[[], str]
+    build: Callable[[], str | Built]
     timeout_s: float = 600.0
 
 
@@ -72,6 +83,7 @@ class ExperimentOutcome:
     error: str | None = None
     artifact: str | None = None
     text: str | None = None      # rendered output (None unless ok/retried)
+    result: Any = None           # a Built build's result; never recorded
 
     def record(self) -> dict:
         """The deterministic fields (no wall-clock durations/paths)."""
@@ -256,7 +268,7 @@ class ExperimentRunner:
         last_error: BaseException | None = None
         for attempt in range(1, self.max_attempts + 1):
             try:
-                text = self._call_with_timeout(spec)
+                built = self._call_with_timeout(spec)
             except FutureTimeout:
                 return self._finish(spec, t0, "failed", attempt,
                                     f"timeout after {spec.timeout_s:.0f} s")
@@ -271,13 +283,16 @@ class ExperimentRunner:
                 return self._finish(spec, t0, "failed", attempt,
                                     f"{type(exc).__name__}: {exc}")
             else:
+                if not isinstance(built, Built):
+                    built = Built(built, None)
                 status = "ok" if attempt == 1 else "retried"
-                return self._finish(spec, t0, status, attempt, None, text)
+                return self._finish(spec, t0, status, attempt, None,
+                                    built.text, built.result)
         return self._finish(
             spec, t0, "degraded", self.max_attempts,
             f"{type(last_error).__name__}: {last_error}")
 
-    def _call_with_timeout(self, spec: ExperimentSpec) -> str:
+    def _call_with_timeout(self, spec: ExperimentSpec) -> str | Built:
         """Run the builder under a wall-clock timeout.
 
         A timed-out builder thread cannot be killed, but the simulation
@@ -304,11 +319,13 @@ class ExperimentRunner:
 
     def _finish(self, spec: ExperimentSpec, t0: float, status: str,
                 attempts: int, error: str | None,
-                text: str | None = None) -> ExperimentOutcome:
+                text: str | None = None,
+                result: Any = None) -> ExperimentOutcome:
         return ExperimentOutcome(
             name=spec.name, status=status, attempts=attempts,
             # repro-lint: disable=det-wallclock — harness-side duration report; never enters simulator state
-            duration_s=time.monotonic() - t0, error=error, text=text)
+            duration_s=time.monotonic() - t0, error=error, text=text,
+            result=result)
 
     def _checkpoint_attempt(self, spec: ExperimentSpec, attempt: int,
                             exc: BaseException) -> None:
@@ -326,5 +343,5 @@ def _run_spec_in_worker(spec: ExperimentSpec,
     """Run one experiment in a pool worker process: a fresh single-spec
     runner with the parent's ``options`` reproduces the serial
     retry/timeout/chaos semantics; the outcome carries the rendered
-    text home for the parent to write."""
+    text and the build's result home for the parent."""
     return ExperimentRunner([spec], **options).run().outcomes[0]

@@ -1,9 +1,10 @@
-"""Paper-expectation registry and checker.
+"""Paper-expectation checker.
 
-Encodes every quantitative claim we reproduce as a
-:class:`PaperExpectation` (experiment id, quantity, paper value,
-tolerance), checks measured values against it, and renders the
-paper-vs-measured table that EXPERIMENTS.md records.
+A quantitative claim is a :class:`PaperExpectation` (experiment id,
+quantity, paper value, tolerance); this package checks measured values
+against it and renders the paper-vs-measured table that EXPERIMENTS.md
+records. The claims themselves belong to the experiment catalogue
+(``repro.experiments.catalog``).
 """
 
 from repro.validation.expectations import (

@@ -1,31 +1,32 @@
-"""EXPERIMENTS.md generator.
+"""EXPERIMENTS.md writer.
 
-Runs the full paper-vs-measured report and writes the markdown document
-that records the reproduction status of every table and figure.
+Renders checked paper claims into the markdown document that records
+the reproduction status of every table and figure.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.validation.expectations import CheckResult
-from repro.validation.paper import run_full_report
+from repro.validation.expectations import CheckResult, render_report
 
 _HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
-Generated by `python scripts/generate_experiments_md.py`
-(`repro.validation.report`). Every row is one quantitative claim from
-the paper checked against the value measured on the simulated node. The
-simulation was *calibrated* against a small set of anchor points
-(Table IV equilibria, the idle power, the footnote-2 AC fit — see
-DESIGN.md and `repro/specs/cpu.py`); all other rows are genuine
-predictions that emerge from the interacting mechanism models.
+Generated by `python scripts/run_paper.py` from the experiment catalogue
+(`repro.experiments.catalog`). Every row is one quantitative claim or
+shape assertion from the paper checked against the value measured on
+the simulated node at the default size. The simulation was
+*calibrated* against a small set of anchor points (Table IV
+equilibria, the idle power, the footnote-2 AC fit — see DESIGN.md and
+`repro/specs/cpu.py`); all other rows are genuine predictions that
+emerge from the interacting mechanism models.
 
 Bound-type claims (the 3 W Fig. 2b residual bound, the ACPI-claim
 comparisons, the SNB bias magnitude) record the bound as the "paper"
 value; for those, a negative deviation means *comfortably inside the
-bound*, which is the expected outcome.
+bound*, which is the expected outcome. Shape rows (an inequality or
+ordering, over every setting or cell it names) read 1 when they hold.
 
 Absolute watts/GHz match because the power model was fitted to the
 paper's measurements; the reproduction claims are the *shapes*: who
@@ -46,7 +47,7 @@ wins, by what factor, where the crossovers and saturation points fall.
 | id | what to look at |
 |---|---|
 | Table I | derived rows (FLOPS/cycle, DRAM/QPI bandwidth) computed from primitive spec fields |
-| Fig. 1 | die partitioning (8 / 8+4 / 8+10), queue bridges, hop statistics (structural; see `benchmarks/output/fig1_topology.txt`) |
+| Fig. 1 | die partitioning (8 / 8+4 / 8+10), queue bridges, hop statistics (structural; see `benchmarks/output/run_paper_fig1.txt`) |
 | Table II | 261.5 W idle node power reproduced by the PSU/fan/idle-package model |
 | Fig. 2a/2b | modeled-RAPL fan-out vs measured-RAPL single quadratic (R², residuals, coefficients) |
 | Table III | UFS law: uncore follows the fastest active core's *setting*; passive socket one step below |
@@ -59,10 +60,8 @@ wins, by what factor, where the crossovers and saturation points fall.
 | Fig. 8 | DRAM saturation at 8 cores / 60 GB/s; frequency independence at >= 10 cores; SMT only helps at low concurrency |
 | Table V | LINPACK lowest power & frequency; FIRESTARTER steadiest; mprime fastest clocks; EPB ladder on mprime at 2.5 GHz |
 
-Regenerate any single artifact with
-`pytest benchmarks/<file> --benchmark-only -s`; rendered tables land in
-`benchmarks/output/`. `REPRO_FULL=1` selects the paper-length
-parameterizations.
+The rendered tables and figures land in
+`benchmarks/output/run_paper_<id>.txt`.
 """
 
 
@@ -90,17 +89,12 @@ def summarize(results: list[CheckResult]) -> str:
     return "\n".join(lines)
 
 
-def write_experiments_md(path: str | Path, quick: bool = True,
-                         seed: int = 101) -> list[CheckResult]:
-    from repro.validation.expectations import render_report
-
-    results = run_full_report(quick=quick, seed=seed)
-    # exclude bound-type rows from the "largest deviation" headline by
-    # keeping them in the table but flagging nothing extra here
+def write_experiments_md(path: str | Path,
+                         results: list[CheckResult]) -> None:
+    """Write EXPERIMENTS.md for the checked claims ``results``."""
     text = _HEADER.format(summary=summarize(results),
                           table=render_report(results))
     # Byte-stable regardless of platform/locale: pin the encoding and
     # suppress newline translation so regeneration never produces a
     # spurious diff (CRLF, latin-1 em dashes) on another machine.
     Path(path).write_text(text, encoding="utf-8", newline="\n")
-    return results

@@ -1,7 +1,6 @@
-"""The EXPERIMENTS.md generator (with a stubbed experiment run)."""
+"""The EXPERIMENTS.md writer (on stubbed claim results)."""
 
 from pathlib import Path
-
 
 from repro.validation.expectations import PaperExpectation, check
 from repro.validation.report import summarize, write_experiments_md
@@ -29,30 +28,22 @@ class TestSummarize:
 
 
 class TestWriteExperimentsMd:
-    def test_writes_markdown(self, tmp_path, monkeypatch):
-        import repro.validation.report as report_mod
-
-        monkeypatch.setattr(report_mod, "run_full_report",
-                            lambda quick, seed: _fake_results())
+    def test_writes_markdown(self, tmp_path):
         out = tmp_path / "EXPERIMENTS.md"
-        results = write_experiments_md(out, quick=True)
+        write_experiments_md(out, _fake_results())
         text = out.read_text()
-        assert len(results) == 2
         assert text.startswith("# EXPERIMENTS")
-        assert "Table X" in text
+        assert "Table X" in text and "quantity b" in text
         assert "Reading guide" in text
+        assert "scripts/run_paper.py" in text
 
-    def test_output_is_byte_stable(self, tmp_path, monkeypatch):
+    def test_output_is_byte_stable(self, tmp_path):
         """Two generations must produce identical bytes: LF newlines and
         UTF-8 regardless of platform/locale, no timestamps, no
         hash-order dependence."""
-        import repro.validation.report as report_mod
-
-        monkeypatch.setattr(report_mod, "run_full_report",
-                            lambda quick, seed: _fake_results())
         a, b = tmp_path / "a.md", tmp_path / "b.md"
-        write_experiments_md(a, quick=True)
-        write_experiments_md(b, quick=True)
+        write_experiments_md(a, _fake_results())
+        write_experiments_md(b, _fake_results())
         raw = a.read_bytes()
         assert raw == b.read_bytes()
         assert b"\r" not in raw
