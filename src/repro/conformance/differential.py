@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from repro.conformance.recorder import Divergence, Trace, diff_traces
+from repro.conformance.recorder import Divergence, diff_traces
 from repro.conformance.scenario import (
     CHAOS_PROFILES,
     ScenarioManifest,
@@ -185,10 +185,3 @@ def _parallel_texts(manifests: list[ScenarioManifest],
     runner = ExperimentRunner(specs, jobs=max(2, jobs))
     outcomes = runner.run().outcomes
     return [o.text for o in outcomes]
-
-
-def first_divergence(expected: Trace, actual: Trace,
-                     ignore_kinds: frozenset[str] = frozenset(),
-                     ) -> Divergence | None:
-    """Thin re-export with the driver's semantics (used by tests)."""
-    return diff_traces(expected, actual, ignore_kinds=ignore_kinds)

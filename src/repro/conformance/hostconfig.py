@@ -10,8 +10,7 @@ This lives in the conformance layer (not in
 ``repro.experiments.hostif_parity``, which consumes it) because the
 trace/scenario machinery and the service's dataset CLI need the same
 configuration — an upward import from conformance into experiments
-would invert the layer map.  The experiment keeps re-exporting the old
-underscore names for compatibility.
+would invert the layer map.
 
 The scenario: FIRESTARTER on socket 0's first six cores, pinned to
 1.8 GHz via the userspace governor; C6 disabled on the next six (idle)

@@ -21,10 +21,9 @@ half, catching what static analysis cannot see:
   :class:`~repro.errors.EpochConsistencyError` if the cache, or the
   socket's slice of the node rate block the node integrates, is stale.
 
-Enable process-wide with ``REPRO_SANITIZE=1`` (checked at
-``Simulator``/``Socket`` construction), or per-node at runtime with
-``node.set_sanitize(True)`` (epoch checker only — ledger wrapping must
-be in place before components spawn their streams). Overhead is a few
+Enable process-wide with ``REPRO_SANITIZE=1`` or :func:`set_enabled`,
+before the node is built: both halves read the switch once, at
+``Simulator``/``Socket`` construction. Overhead is a few
 percent at the default stride; sanitize mode never changes simulation
 results, only observes them.
 """

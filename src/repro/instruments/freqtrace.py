@@ -89,8 +89,3 @@ class FreqTrace:
         if start is not None:
             out.append((start, self.samples[core_id][-1].time_ns))
         return out
-
-    def throttled_ns(self, core_id: int) -> int:
-        """Total sampled time with the AVX-request execution throttle."""
-        return sum(self.period_ns for s in self.samples[core_id]
-                   if s.throttled)

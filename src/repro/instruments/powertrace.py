@@ -27,10 +27,6 @@ class PowerTraceStats:
     std_w: float
     p95_w: float
 
-    @property
-    def crest_factor(self) -> float:
-        return self.peak_w / self.mean_w if self.mean_w else 0.0
-
 
 class PowerTrace:
     """Per-socket power sampling at a configurable period."""

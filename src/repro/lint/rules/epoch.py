@@ -11,7 +11,9 @@ and slow-path results. ``epoch-bypass`` flags:
 
 * ``object.__setattr__(obj, field, v)`` naming a rate-relevant field,
   or with a non-literal field name (unprovable), outside a
-  ``__setattr__`` method body (the interceptors themselves must use it);
+  ``__setattr__`` method body (the interceptors themselves must use it).
+  A call through any name bound to ``object.__setattr__`` in the file
+  (``osa = object.__setattr__``) counts as the attribute itself;
 * any store through ``obj.__dict__[...]`` / ``vars(obj)[...]`` or
   ``obj.__dict__.update(...)``;
 * ``setattr(obj, name, v)`` with a computed ``name`` — it does route
@@ -52,6 +54,27 @@ def _setattr_impl_spans(tree: ast.Module) -> list[tuple[int, int]]:
             and node.name in ("__setattr__", "__delattr__")]
 
 
+def _is_object_setattr(node: ast.expr | None) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object")
+
+
+def _setattr_aliases(tree: ast.Module) -> frozenset[str]:
+    """Names bound to ``object.__setattr__`` anywhere in the file."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if _is_object_setattr(node.value):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return frozenset(names)
+
+
 def _is_dunder_dict(node: ast.expr) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "__dict__"
 
@@ -72,6 +95,7 @@ class EpochBypassRule(Rule):
 
     def begin_file(self, ctx: FileContext) -> Iterable[Finding]:
         self._spans = _setattr_impl_spans(ctx.tree)
+        self._aliases = _setattr_aliases(ctx.tree)
         return ()
 
     def _in_setattr_impl(self, node: ast.AST) -> bool:
@@ -100,10 +124,9 @@ class EpochBypassRule(Rule):
     def _visit_call(self, ctx: FileContext,
                     node: ast.Call) -> Iterable[Finding]:
         func = node.func
-        # object.__setattr__(obj, "field", value)
-        if isinstance(func, ast.Attribute) and func.attr == "__setattr__" \
-                and isinstance(func.value, ast.Name) \
-                and func.value.id == "object" \
+        # object.__setattr__(obj, "field", value), or through an alias
+        if (_is_object_setattr(func)
+                or isinstance(func, ast.Name) and func.id in self._aliases) \
                 and not self._in_setattr_impl(node):
             name_arg = node.args[1] if len(node.args) >= 2 else None
             if isinstance(name_arg, ast.Constant) \

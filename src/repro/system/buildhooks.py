@@ -33,11 +33,6 @@ def register(hook: PostBuildHook) -> PostBuildHook:
     return hook
 
 
-def unregister(hook: PostBuildHook) -> None:
-    if hook in _hooks:
-        _hooks.remove(hook)
-
-
 def run(sim: "Simulator", node: "Node") -> None:
     """Run every registered hook on a freshly built node."""
     for hook in list(_hooks):

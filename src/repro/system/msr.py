@@ -31,8 +31,11 @@ class MSR(enum.IntEnum):
     MSR_UNCORE_RATIO_LIMIT = 0x620
 
 
-# MSR_RAPL_POWER_UNIT power-unit field: 1/2^3 W = 0.125 W per count.
-POWER_UNIT_W = 0.125
+# MSR_RAPL_POWER_UNIT power-unit field: 1/2^3 W = 0.125 W per count
+# (bits 3:0); time-unit field: 1/2^10 s (bits 19:16).
+POWER_UNIT_EXP = 3
+POWER_UNIT_W = 1.0 / (1 << POWER_UNIT_EXP)
+TIME_UNIT_EXP = 10
 # PKG_POWER_LIMIT layout (simplified to the PL1 fields): bits 14:0 power
 # limit in power units, bit 15 enable.
 PL1_MASK = 0x7FFF
@@ -65,9 +68,10 @@ class MsrSpace:
         if address == MSR.IA32_ENERGY_PERF_BIAS:
             return encode_epb(self.node.pcus[core.socket_id].epb)
         if address == MSR.MSR_RAPL_POWER_UNIT:
-            # SDM layout: energy-status unit in bits 12:8 as 1/2^n J.
+            # SDM layout: power unit 3:0, energy-status unit 12:8 and
+            # time unit 19:16, each as 1/2^n of W, J and s.
             exponent = unit_exponent(socket.spec.rapl_energy_unit_j)
-            return exponent << 8
+            return POWER_UNIT_EXP | exponent << 8 | TIME_UNIT_EXP << 16
         if address == MSR.MSR_PKG_POWER_LIMIT:
             pcu = self.node.pcus[core.socket_id]
             counts = int(pcu.limiter.budget_w / POWER_UNIT_W) & PL1_MASK
@@ -92,15 +96,15 @@ class MsrSpace:
             return
         if address == MSR.MSR_PKG_POWER_LIMIT:
             # Running-average power limiting: the PL1 budget the PCU
-            # enforces (the hardware-enforced power bound of [24]).
+            # enforces (the hardware-enforced power bound of [24]). A
+            # clear enable bit disables the limit whatever the limit
+            # field holds, so the budget falls back to TDP.
             limit_w = (value & PL1_MASK) * POWER_UNIT_W
-            if limit_w <= 0:
+            enabled = bool(value & PL1_ENABLE)
+            if enabled and limit_w <= 0:
                 raise MsrError("PKG_POWER_LIMIT: zero/negative PL1")
             pcu = self.node.pcus[core.socket_id]
-            if value & PL1_ENABLE:
-                pcu.limiter.budget_w = limit_w
-            else:
-                pcu.limiter.budget_w = pcu.spec.tdp_w
+            pcu.limiter.budget_w = limit_w if enabled else pcu.spec.tdp_w
             return
         if address == MSR.MSR_UNCORE_RATIO_LIMIT:
             raise MsrError(

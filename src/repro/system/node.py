@@ -52,18 +52,14 @@ class Node:
     _phase_member: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Node-wide epoch: any socket's mutation bumps it, so system
-        # views (any_core_active, fastest setting) and the PCU decision
-        # caches invalidate without scanning every core.
+        # Node-wide epoch: any socket's mutation bumps it, so the PCU
+        # decision caches invalidate without scanning every core.
         self.epoch = EpochCell()
         for socket in self.sockets:
             socket.epoch.parent = self.epoch
-        self.fastpath_enabled = True
         # Cross-socket (QPI) link health; NUMA-link faults degrade it and
         # placement studies consult it via NumaBandwidthModel.
         self.link_derate = LinkDerate()
-        self._fastest_epoch = -1
-        self._fastest: float | None | str = "no-active-core"
         # O(1) topology lookups: the phase-advance machinery resolves a
         # core id on every phase flip, which a linear scan over sockets
         # turns into a tick-heavy hot spot.
@@ -100,23 +96,10 @@ class Node:
     def set_fastpath(self, enabled: bool) -> None:
         """Toggle the steady-state fast path on every socket and PCU
         (A/B parity testing; both settings are bit-identical)."""
-        self.fastpath_enabled = enabled
         for socket in self.sockets:
             socket.fastpath_enabled = enabled
         for pcu in self.pcus:
             pcu.fastpath_enabled = enabled
-
-    def set_sanitize(self, enabled: bool) -> None:
-        """Toggle the epoch-consistency sanitizer on every socket.
-
-        The RNG draw ledger half of sanitize mode must be in place
-        before components spawn their streams, so it is controlled by
-        ``REPRO_SANITIZE=1`` / :func:`repro.engine.sanitize.set_enabled`
-        at :class:`~repro.engine.simulator.Simulator` construction; this
-        runtime toggle covers only the rate-cache checker.
-        """
-        for socket in self.sockets:
-            socket.sanitize_enabled = enabled
 
     # ---- topology accessors -----------------------------------------------------
 
@@ -147,21 +130,15 @@ class Node:
         ``None`` = at least one active core requests turbo; a float = the
         highest explicit setting; ``"no-active-core"`` if all idle.
         """
-        if self.fastpath_enabled and self._fastest_epoch == self.epoch.value:
-            return self._fastest
         requests: list[float | None] = []
         for s in self.sockets:
             for c in s.active_cores():
                 requests.append(c.requested_hz)
         if not requests:
-            value: float | None | str = "no-active-core"
-        elif any(r is None for r in requests):
-            value = None
-        else:
-            value = max(requests)
-        self._fastest = value
-        self._fastest_epoch = self.epoch.value
-        return value
+            return "no-active-core"
+        if any(r is None for r in requests):
+            return None
+        return max(requests)
 
     # ---- workload control -----------------------------------------------------------------
 
@@ -299,10 +276,6 @@ class Node:
     def set_turbo(self, enabled: bool) -> None:
         for pcu in self.pcus:
             pcu.turbo_enabled = enabled
-
-    def set_eet(self, enabled: bool) -> None:
-        for pcu in self.pcus:
-            pcu.eet.enabled = enabled
 
     def set_uncore_limits(self, min_hz: float | None = None,
                           max_hz: float | None = None,

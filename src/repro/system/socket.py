@@ -74,9 +74,6 @@ _CSTATE_C0 = CState.C0
 _UNIFORM_ROWS = np.array(
     [_ROW_APERF, _ROW_MPERF, _ROW_INSTR_T0, _ROW_INSTR_CORE,
      _ROW_STALL, _ROW_L3, _ROW_DRAM], dtype=np.intp)
-# Column-index vectors by core count, shared across every _SegmentRates
-# a socket constructs (they are read-only).
-_ARANGE_CACHE: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -106,10 +103,8 @@ class _SegmentRates:
 
     def __post_init__(self) -> None:
         n = self.res_rows.shape[0]
-        cols = _ARANGE_CACHE.get(n)
-        if cols is None:
-            cols = _ARANGE_CACHE[n] = np.arange(n, dtype=np.intp)
-        object.__setattr__(self, "res_flat", self.res_rows * n + cols)
+        object.__setattr__(self, "res_flat",
+                           self.res_rows * n + np.arange(n, dtype=np.intp))
         object.__setattr__(self, "pkg_w", self.breakdown.package_w)
         object.__setattr__(self, "dc_w",
                            self.breakdown.package_w + self.breakdown.dram_w)
@@ -134,14 +129,12 @@ class Socket:
     package_cstate: PackageCState = PackageCState.PC0
     # steady-state fast path (Node.set_fastpath toggles it)
     fastpath_enabled: bool = True
-    # epoch-consistency sanitizer; None = process default (engine.sanitize)
-    sanitize_enabled: bool | None = None
     _residency_pkg_ns: dict[PackageCState, int] = field(
         default_factory=lambda: {s: 0 for s in PackageCState})
 
     def __post_init__(self) -> None:
-        if self.sanitize_enabled is None:
-            self.sanitize_enabled = sanitize.enabled()
+        # Epoch-consistency sanitizer: the process default, read once.
+        self.sanitize_enabled = sanitize.enabled()
         self._sanitize_segments = 0
         self.sanitize_checks = 0
         # Socket-local epoch; chained to the node epoch once the node
@@ -167,11 +160,6 @@ class Socket:
         self._rates: _SegmentRates | None = None
         self._rates_epoch = -1
         self._rates_memo: dict[tuple, _SegmentRates] = {}
-        # Residency-row vectors by (row per core) pattern: the patterns
-        # cycle with the workload phases while the full memo key churns
-        # with every dithered grant, so this inner cache hits even when
-        # the outer memo misses. Entries are shared read-only.
-        self._res_rows_cache: dict[tuple, np.ndarray] = {}
         # Pre-filled rate-matrix template (TSC always runs at nominal);
         # a memo miss copies it instead of zeroing + refilling the row.
         self._matrix_template = np.zeros_like(self._cnt_data)
@@ -241,38 +229,6 @@ class Socket:
         self._active_cache = active
         self._active_epoch = self.epoch.value
         return active
-
-    def activity_sum(self) -> float:
-        return sum(c.current_phase.power_activity for c in self.active_cores())
-
-    def max_stall_fraction(self) -> float:
-        active = self.active_cores()
-        if not active:
-            return 0.0
-        return max(c.current_phase.stall_fraction for c in active)
-
-    def any_avx_active(self) -> bool:
-        return any(c.current_phase.uses_avx for c in self.active_cores())
-
-    def fastest_active_request(self) -> float | None | str:
-        """The p-state setting of the fastest active core.
-
-        Returns ``None`` for a turbo request, a frequency in Hz otherwise,
-        or the sentinel ``"no-active-core"``.
-        """
-        active = self.active_cores()
-        if not active:
-            return "no-active-core"
-        requests = [c.requested_hz for c in active]
-        if any(r is None for r in requests):
-            return None
-        return max(requests)
-
-    def mean_frequency_hz(self) -> float:
-        active = self.active_cores()
-        if not active:
-            return 0.0
-        return sum(c.freq_hz for c in active) / len(active)
 
     def breakdown_current(self) -> bool:
         """Whether :attr:`last_breakdown` is the current operating
@@ -433,13 +389,7 @@ class Socket:
                 res_list.append(CSTATE_ROW[part])
         if not uniform:
             return self._compute_rates_scalar()
-        res_key = tuple(res_list)
-        res_rows = self._res_rows_cache.get(res_key)
-        if res_rows is None:
-            if len(self._res_rows_cache) >= 512:
-                self._res_rows_cache.clear()
-            res_rows = np.array(res_list, dtype=np.intp)
-            self._res_rows_cache[res_key] = res_rows
+        res_rows = np.array(res_list, dtype=np.intp)
 
         rate_matrix = self._matrix_template.copy()
         if not cols:

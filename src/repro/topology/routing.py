@@ -50,24 +50,6 @@ class LinkDerate:
         return self.bandwidth_factor == 1.0 and self.latency_add_ns == 0.0
 
 
-def derated_path_latency_ns(die: Die, src_name: str, dst_name: str,
-                            ns_per_hop: float,
-                            derate: LinkDerate | None = None) -> float:
-    """Stop-to-stop latency with the derate's per-path adder applied."""
-    base = hop_count(die, src_name, dst_name) * ns_per_hop
-    if derate is None:
-        return base
-    return base + derate.latency_add_ns
-
-
-def derated_link_bandwidth_gbs(base_gbs: float,
-                               derate: LinkDerate | None = None) -> float:
-    """Effective link bandwidth after any active derate."""
-    if derate is None:
-        return base_gbs
-    return base_gbs * derate.bandwidth_factor
-
-
 def ring_path(die: Die, src_name: str, dst_name: str) -> list[str]:
     """Shortest stop-to-stop path on the die."""
     import networkx as nx

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.engine.rng import make_rng
 from repro.errors import ConfigurationError
 from repro.workloads.base import Workload, steady
@@ -132,11 +130,6 @@ class FirestarterKernel:
         """Fraction of instruction slots that are packed-double FMAs."""
         total = 4 * len(self.groups)
         return sum(g.fma_count for g in self.groups) / total
-
-    @property
-    def flops_per_group_cycle(self) -> float:
-        """Double-precision FLOPs per cycle if one group retires per cycle."""
-        return np.mean([g.fma_count * 8.0 for g in self.groups])
 
     def longest_same_flavor_run(self) -> int:
         longest = run = 1

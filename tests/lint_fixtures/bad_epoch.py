@@ -13,3 +13,15 @@ def poke_state(core, updates):
 def apply_fields(core, fields):
     for name, value in fields.items():
         setattr(core, name, value)
+
+
+_osa = object.__setattr__
+
+
+def grant_license(core, license):
+    _osa(core, "avx_license", license)
+
+
+def land_grant(core, f_hz):
+    osa = object.__setattr__
+    osa(core, "freq_hz", f_hz)

@@ -18,3 +18,8 @@ def force_frequency(core, f_hz):
 
 def apply_known(core, f_hz):
     setattr(core, "freq_hz", f_hz)
+
+
+def clear_pending(core):
+    osa = object.__setattr__
+    osa(core, "pending_freq_hz", None)

@@ -13,6 +13,7 @@ from repro.power.rapl import RaplDomain
 from repro.system.msr import MSR, MsrSpace
 from repro.system.node import build_haswell_node
 from repro.units import ghz, ms
+from repro.workloads.firestarter import firestarter
 from repro.workloads.micro import busy_wait
 
 SYS = "/sys/devices/system/cpu"
@@ -149,6 +150,35 @@ class TestEnergyCounterWrapParity:
         raw = MsrSpace(node).read(0, int(MSR.MSR_PKG_ENERGY_STATUS))
         assert 0 <= raw < 1 << 32
         assert raw == host.msr.read(0, HostMsr.MSR_PKG_ENERGY_STATUS)
+
+
+#: The registers both MSR views serve.
+SHARED_MSRS = [HostMsr.IA32_TIME_STAMP_COUNTER, HostMsr.IA32_MPERF,
+               HostMsr.IA32_APERF, HostMsr.IA32_ENERGY_PERF_BIAS,
+               HostMsr.MSR_RAPL_POWER_UNIT, HostMsr.MSR_PKG_POWER_LIMIT,
+               HostMsr.MSR_PKG_ENERGY_STATUS, HostMsr.MSR_DRAM_ENERGY_STATUS]
+
+
+@pytest.mark.parametrize("address", SHARED_MSRS, ids=lambda a: a.name)
+def test_msr_views_agree(host, address):
+    """MsrSpace and VirtualMsrDev are two views of one register file:
+    every register both serve reads the same, and a PL1 write with the
+    enable bit clear disables the limit through either view."""
+    node = host.node
+    node.run_workload([c.core_id for c in node.sockets[0].cores],
+                      firestarter())
+    host.sim.run_for(ms(5))
+    msrspace = MsrSpace(node)
+    for cpu in (0, 12):
+        assert msrspace.read(cpu, int(address)) \
+            == host.msr.read(cpu, address)
+    if address == HostMsr.MSR_PKG_POWER_LIMIT:
+        tdp = regs.encode_power_limit(node.pcus[0].spec.tdp_w)
+        for view in (msrspace, host.msr):
+            node.pcus[0].limiter.budget_w = 90.0
+            view.write(0, int(address), 0)    # enable clear, zero limit
+            assert msrspace.read(0, int(address)) == tdp
+            assert host.msr.read(0, address) == tdp
 
 
 # ---- sysfs tree ----------------------------------------------------------

@@ -102,6 +102,13 @@ class TestRuleFixtures:
         findings = lint_fixture("bad_pool_lambda.py")
         assert [f.line for f in findings] == [8, 13, 22]
 
+    def test_epoch_bypass_sees_setattr_aliases(self):
+        # A module-level and a local alias of object.__setattr__ are
+        # flagged like the attribute; a non-rate field through an alias
+        # (good_epoch.py) is not.
+        findings = lint_fixture("bad_epoch.py")
+        assert [f.line for f in findings if f.line > 16] == [22, 27]
+
     def test_rng_batch_rule_exempts_the_rng_module(self):
         # DrawBatch's own implementation is the one sanctioned toucher
         # of the prefill buffer.

@@ -165,12 +165,3 @@ class TestEpochChecker:
         sim.run_for(ms(5))
         node.set_pstate([0], node.spec.cpu.min_hz)  # bumps the epoch
         sim.run_for(ms(10))
-
-    def test_set_sanitize_runtime_toggle(self):
-        sim, node = build_haswell_node(seed=408)
-        assert all(not s.sanitize_enabled for s in node.sockets)
-        node.set_sanitize(True)
-        assert all(s.sanitize_enabled for s in node.sockets)
-        node.run_workload([0], firestarter())
-        sim.run_for(ms(10))
-        assert sum(s.sanitize_checks for s in node.sockets) > 0
