@@ -10,12 +10,15 @@ while a rich-comparison dunder on the event class would execute Python
 bytecode on every sift — at hundreds of thousands of heap operations per
 simulated second the difference is a measurable slice of the tick-heavy
 budget. ``seq`` is unique, so the comparison never reaches the event.
+
+Recurring events (PCU ticks, EET polls, RAPL refreshes, meters) reuse
+one :class:`Event` and :meth:`EventQueue.rearm` it after each firing,
+instead of allocating and pushing a new one.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -25,7 +28,8 @@ class Event:
     """A scheduled callback.
 
     ``action`` receives the event's firing time (integer ns). Cancelled
-    events stay in the heap but are skipped when popped (lazy deletion).
+    events stay in the heap but are skipped when popped (lazy deletion);
+    a cancelled event stays cancelled across re-arms.
     """
 
     __slots__ = ("time_ns", "seq", "action", "label", "cancelled")
@@ -48,56 +52,88 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of events with lazy cancellation."""
+    """Min-heap of events with lazy deletion.
+
+    A heap entry is live while its event is not cancelled and still
+    carries the entry's sequence number: :meth:`rearm` gives an event a
+    fresh number, which turns any entry it left queued into a stale one
+    that the pops skip.
+    """
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Event]] = []
-        self._counter = itertools.count()
-
-    def __len__(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        self._next_seq = 0
 
     def push(self, time_ns: int, action: Callable[[int], None], label: str = "") -> Event:
         if time_ns < 0:
             raise SimulationError(f"cannot schedule event at negative time {time_ns}")
         time_ns = int(time_ns)
-        event = Event(time_ns, next(self._counter), action, label)
-        heapq.heappush(self._heap, (time_ns, event.seq, event))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = Event(time_ns, seq, action, label)
+        heapq.heappush(self._heap, (time_ns, seq, event))
         return event
 
-    def peek_time(self) -> int | None:
-        """Firing time of the next live event, or None if empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+    def rearm(self, event: Event, time_ns: int,
+              action: Callable[[int], None], seq: int | None = None) -> None:
+        """Queue ``event`` again at ``time_ns``, running ``action``.
 
-    def pop(self) -> Event | None:
-        """Pop the next live event, or None if empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if not event.cancelled:
-                return event
-        return None
+        A recurring event reuses one :class:`Event`: the re-arm takes the
+        next sequence number (or ``seq``, one handed out by
+        :meth:`reserve_seqs`) exactly as a fresh push would, so same-time
+        order is unchanged. ``action`` is restored on every re-arm — an
+        observer may have wrapped the popped event's action, and a kept
+        wrapper would wrap itself again on the next pop.
+        """
+        if seq is None:
+            seq = self._next_seq
+            self._next_seq = seq + 1
+        event.time_ns = time_ns
+        event.seq = seq
+        event.action = action
+        heapq.heappush(self._heap, (time_ns, seq, event))
+
+    @property
+    def next_seq(self) -> int:
+        """The sequence number the next push or re-arm will take."""
+        return self._next_seq
+
+    def reserve_seqs(self, n: int) -> int:
+        """Hand out the next ``n`` sequence numbers; returns the first."""
+        base = self._next_seq
+        self._next_seq = base + n
+        return base
+
+    def head(self, exclude: tuple[Event, ...] = ()) -> tuple[int, int] | None:
+        """``(time_ns, seq)`` of the first live event not in ``exclude``,
+        or None. Leaves the queue as it is."""
+        best = None
+        for entry in self._heap:
+            event = entry[2]
+            if (event.cancelled or entry[1] != event.seq
+                    or event in exclude):
+                continue
+            if best is None or entry < best:
+                best = entry
+        return None if best is None else (best[0], best[1])
 
     def pop_next_until(self, t_ns: int) -> Event | None:
         """Pop the next live event firing at or before ``t_ns``.
 
         Returns None (leaving the event queued) when the next live event
-        fires later, or when the queue is empty. One heap traversal
-        serves what a ``peek_time`` + ``pop`` pair did — the run loop's
-        per-event cost is mostly this walk.
+        fires later, or when the queue is empty. Dead entries on the way
+        (cancelled, or left behind by a re-arm) are dropped.
         """
         heap = self._heap
         pop = heapq.heappop
         while heap:
             head = heap[0]
-            if head[2].cancelled:
+            event = head[2]
+            if event.cancelled or head[1] != event.seq:
                 pop(heap)
                 continue
             if head[0] > t_ns:
                 return None
             pop(heap)
-            return head[2]
+            return event
         return None

@@ -15,7 +15,10 @@ byte-identical simulations — only cheaper. Sanitize-mode draw-order
 accounting happens per ``take``, exactly like a direct generator call;
 the refill itself draws from the unwrapped stream and is invisible to
 the ledger by design (the ``rng-batch-bypass`` lint rule keeps everyone
-else out of the buffer).
+else out of the buffer). :meth:`DrawBatch.ahead` is the one sanctioned
+read-ahead: it shows the values the next takes will return, but consumes
+nothing and never refills, so the draws still happen, in order, through
+``take``.
 """
 
 from __future__ import annotations
@@ -108,3 +111,18 @@ class DrawBatch:
             self._ledger.record(sanitize._site_of(sys._getframe(1)),
                                 self._method)
         return self._prefill[cursor]
+
+    def ahead(self, *args) -> list:
+        """The values the next takes of ``method(*args)`` will return
+        without a refill, in order (empty if the buffer is dry or tuned
+        to other arguments).
+
+        A read-ahead, not a draw: nothing is consumed or ledgered, and
+        the buffer is never refilled early — an early refill would move
+        this batch's generator call ahead of another batch's on the
+        shared stream. Commit each value used with an ordinary
+        :meth:`take` from the site the value stands for.
+        """
+        if args != self._prefill_args:
+            return []
+        return self._prefill[self._prefill_cursor:self._block]

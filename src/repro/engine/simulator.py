@@ -40,6 +40,12 @@ class RepeatingEvent:
         self._event: Event | None = None
         self._stopped = False
 
+    @property
+    def event(self) -> Event | None:
+        """The one :class:`Event` every firing re-arms (None before
+        :meth:`start`)."""
+        return self._event
+
     def start(self, first_time_ns: int) -> "RepeatingEvent":
         self._event = self._sim.schedule_at(first_time_ns, self._fire, self._label)
         return self
@@ -49,8 +55,12 @@ class RepeatingEvent:
             return
         self._action(now_ns)
         if not self._stopped:
-            self._event = self._sim.schedule_at(
-                now_ns + self.period_ns, self._fire, self._label)
+            self.rearm(now_ns + self.period_ns)
+
+    def rearm(self, time_ns: int, seq: int | None = None) -> None:
+        """Queue the next firing at ``time_ns`` (see
+        :meth:`EventQueue.rearm`)."""
+        self._sim.queue.rearm(self._event, time_ns, self._fire, seq)
 
     def stop(self) -> None:
         self._stopped = True
@@ -64,6 +74,8 @@ class Simulator:
     def __init__(self, seed: int | None = None,
                  trace: TraceRecorder | None = None) -> None:
         self.now_ns: int = 0
+        # End of the current run_until call: events after it stay queued.
+        self.until_ns: int = 0
         self.queue = EventQueue()
         self.rng: np.random.Generator = make_rng(seed)
         # Sanitize mode (REPRO_SANITIZE=1): wrap the root stream so every
@@ -81,6 +93,12 @@ class Simulator:
 
     def add_integrator(self, component: Integrator) -> None:
         self._integrators.append(component)
+
+    @property
+    def integrators(self) -> tuple[Integrator, ...]:
+        """The registered integrators, in the order each segment runs
+        them."""
+        return tuple(self._integrators)
 
     # ---- fault hooks ------------------------------------------------------
 
@@ -160,21 +178,27 @@ class Simulator:
         if t_ns < self.now_ns:
             raise SimulationError(
                 f"run_until({t_ns}) but now is {self.now_ns}")
+        outer_until = self.until_ns
+        self.until_ns = t_ns
         pop_next = self.queue.pop_next_until
         integrators = self._integrators
-        while True:
-            event = pop_next(t_ns)
-            if event is None:
-                break
-            time_ns = event.time_ns
-            if time_ns != self.now_ns:
-                # _advance_to, inlined: integrate the segment up to the
-                # event, then move the clock.
-                for component in integrators:
-                    component.integrate(self.now_ns, time_ns)
-                self.now_ns = time_ns
-            event.action(time_ns)
-        self._advance_to(t_ns)
+        try:
+            while True:
+                event = pop_next(t_ns)
+                if event is None:
+                    break
+                time_ns = event.time_ns
+                if time_ns != self.now_ns:
+                    # _advance_to, inlined: integrate the segment up to
+                    # the event, then move the clock.
+                    for component in integrators:
+                        component.integrate(self.now_ns, time_ns)
+                    self.now_ns = time_ns
+                event.action(time_ns)
+            self._advance_to(t_ns)
+        finally:
+            # An action may itself have run the clock (nested run_until).
+            self.until_ns = outer_until
 
     def run_for(self, duration_ns: int) -> None:
         self.run_until(self.now_ns + duration_ns)

@@ -23,11 +23,16 @@ and slow-path results. ``epoch-bypass`` flags:
 The same family polices the batched-RNG buffer: ``rng-batch-bypass``
 flags any access to :class:`repro.engine.rng.DrawBatch`'s private
 prefill state (``_prefill``, ``_prefill_args``, ``_prefill_cursor``)
-outside ``repro/engine/rng.py``. ``take()`` is the only sanctioned
-way to consume the buffer — it records the draw site in the sanitize
-ledger exactly like a direct generator call; reaching into the buffer
+outside ``repro/engine/rng.py`` — as an attribute, or by a literal
+name through ``getattr``/``setattr``/``hasattr``/``delattr`` or
+``operator.attrgetter``. ``take()`` is the only sanctioned way to
+consume the buffer — it records the draw site in the sanitize ledger
+exactly like a direct generator call; reaching into the buffer
 consumes randomness invisibly, so a fastpath-on and fastpath-off run
 could agree on every final counter while having drawn differently.
+``ahead()`` is the only sanctioned read-ahead: a hand-made one can
+refill early or read past the block, and its values are then taken by
+nothing.
 """
 
 from __future__ import annotations
@@ -174,7 +179,7 @@ class RngBatchBypassRule(Rule):
                    "bypasses draw-order accounting")
     hint = ("consume batched draws through DrawBatch.take(); only "
             "repro/engine/rng.py may touch the prefill state")
-    node_types = (ast.Attribute,)
+    node_types = (ast.Attribute, ast.Call)
 
     def begin_file(self, ctx: FileContext) -> Iterable[Finding]:
         path = ctx.path.replace("\\", "/")
@@ -182,9 +187,36 @@ class RngBatchBypassRule(Rule):
         return ()
 
     def visit(self, ctx: FileContext, node: ast.AST) -> Iterable[Finding]:
-        if self._exempt or node.attr not in BATCH_INTERNALS:
+        if self._exempt:
+            return
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else _literal_attr_name(node))
+        if name not in BATCH_INTERNALS:
             return
         yield self.finding(
             ctx, node,
-            f"access to DrawBatch internal {node.attr!r} outside "
+            f"access to DrawBatch internal {name!r} outside "
             f"repro/engine/rng.py skips the sanitize ledger")
+
+
+#: Builtins (and ``operator.attrgetter``) that reach an attribute by a
+#: name given as a string.
+_NAMED_ACCESS = frozenset({"getattr", "setattr", "hasattr", "delattr",
+                           "attrgetter"})
+
+
+def _literal_attr_name(call: ast.Call) -> str | None:
+    """The attribute a named-access call reaches, when its name is a
+    string literal: ``getattr(obj, "_prefill")`` and the like."""
+    func = call.func
+    callee = (func.id if isinstance(func, ast.Name)
+              else func.attr if isinstance(func, ast.Attribute) else None)
+    if callee not in _NAMED_ACCESS:
+        return None
+    index = 0 if callee == "attrgetter" else 1
+    if len(call.args) <= index:
+        return None
+    arg = call.args[index]
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    return None

@@ -90,7 +90,7 @@ class Pcu:
         self.uncore_limit_max_hz: float = self.spec.uncore_max_hz
         # Additional tick-timing jitter (fault injection: a disturbed
         # external tick source widens the grant-opportunity spread).
-        self.extra_tick_jitter_ns: int = 0
+        self.extra_tick_jitter_ns = 0
         # Voltage-ramped frequency switches, batched per fire time: one
         # decision applies every changed core at now + switch_time, so
         # one heap event carries the whole socket's applies (per-core
@@ -133,12 +133,14 @@ class Pcu:
 
     def start(self) -> None:
         phase = int(self.rng.integers(0, self._quantum_ns))
-        self.sim.schedule_after(max(phase, 1), self._tick,
-                                label=self._tick_label)
+        # One tick event, re-armed after every tick (EventQueue.rearm).
+        self.tick_event = self.sim.schedule_after(
+            max(phase, 1), self._tick, label=self._tick_label)
+        self.eet_timer = None
         if self.spec.eet_poll_period_ns > 0:
-            self.sim.schedule_every(self.spec.eet_poll_period_ns,
-                                    self._eet_poll,
-                                    label=f"eet-poll-s{self.socket.socket_id}")
+            self.eet_timer = self.sim.schedule_every(
+                self.spec.eet_poll_period_ns, self._eet_poll,
+                label=f"eet-poll-s{self.socket.socket_id}")
 
     # ---- software control -----------------------------------------------------------
 
@@ -169,30 +171,58 @@ class Pcu:
     # ---- periodic work --------------------------------------------------------------
 
     def _eet_poll(self, _now_ns: int) -> None:
-        self.eet.poll(self._stall_fraction_windowed(), self.epb)
+        self._eet_sample(self.socket.counter_totals(_EET_ROWS))
 
-    def _stall_fraction_windowed(self) -> float:
-        """Stall cycles over unhalted cycles since the previous poll.
+    def _eet_sample(self, totals: list[float]) -> None:
+        """One EET poll on the socket's (aperf, stall) counter totals.
 
-        Hardware counts events over the interval; a phase that ended just
-        before the poll still dominates the sample — the staleness that
-        makes EET mis-clock fast phase-switchers (Section II-E).
+        The stall fraction is stall cycles over unhalted cycles since
+        the previous poll. Hardware counts events over the interval; a
+        phase that ended just before the poll still dominates the
+        sample — the staleness that makes EET mis-clock fast
+        phase-switchers (Section II-E).
         """
-        cycles, stall = self.socket.counter_totals(_EET_ROWS)
+        cycles, stall = totals
         d_stall = stall - self._eet_last_stall
         d_cycles = cycles - self._eet_last_cycles
         self._eet_last_stall = stall
         self._eet_last_cycles = cycles
-        if d_cycles <= 0:
-            return 0.0
-        return min(d_stall / d_cycles, 1.0)
+        fraction = 0.0 if d_cycles <= 0 else min(d_stall / d_cycles, 1.0)
+        self.eet.poll(fraction, self.epb)
 
     def _tick(self, now_ns: int) -> None:
         self._control(now_ns)
-        spread = TICK_JITTER_NS + self.extra_tick_jitter_ns
-        delay = self._quantum_ns + self._jitter_batch.take(-spread, spread + 1)
-        self.sim.schedule_after(delay if delay > 1 else 1, self._tick,
-                                self._tick_label)
+        self.sim.queue.rearm(self.tick_event, self._next_tick_at(now_ns),
+                             self._tick)
+        plan = self._steady_plan
+        if plan is _NOOP or plan is _GRANT:
+            # A steady tick that scheduled nothing: the node may run the
+            # periodic events ahead as one span.
+            self.node.run_span(now_ns)
+
+    @property
+    def extra_tick_jitter_ns(self) -> int:
+        return self._extra_tick_jitter_ns
+
+    @extra_tick_jitter_ns.setter
+    def extra_tick_jitter_ns(self, value: int) -> None:
+        self._extra_tick_jitter_ns = value
+        spread = TICK_JITTER_NS + value
+        self._jitter_args = (-spread, spread + 1)   # integers(lo, hi)
+
+    def tick_delay(self, jitter_ns: int) -> int:
+        """Time from a tick to the next under one jitter draw."""
+        delay = self._quantum_ns + jitter_ns
+        return delay if delay > 1 else 1
+
+    def _next_tick_at(self, now_ns: int) -> int:
+        """The next tick's time: the one tick-jitter draw of a tick.
+
+        Every tick calls it once, after its control decision, whether
+        it fired as an event or inside a steady span.
+        """
+        return now_ns + self.tick_delay(
+            self._jitter_batch.take(*self._jitter_args))
 
     # ---- the control decision ---------------------------------------------------------
 
@@ -277,16 +307,12 @@ class Pcu:
         """
         plan = self._steady_plan or self._plan_steady()
         if plan is _NOOP:
-            self.node.mbvr.select_power_state(self._steady_load_w)
+            self.select_steady_power_state()
         elif plan is _GRANT:
             point = self._steady_point
             f_core = self.limiter.dither(point, self._dither_batch)
-            target = self._steady_target_hz
-            granted = f_core if f_core < target else target
-            threshold = self._APPLY_THRESHOLD_HZ
-            if (abs(granted - self._steady_lo_hz) < threshold
-                    and abs(granted - self._steady_hi_hz) < threshold):
-                self.node.mbvr.select_power_state(self._steady_load_w)
+            if self._grant_in_window(f_core):
+                self.select_steady_power_state()
             else:
                 self._steady_plan = None     # applies are now pending
                 self._apply_decision(
@@ -295,6 +321,20 @@ class Pcu:
                     self._ctrl_targets)
         else:
             self._replay_cached()
+
+    def select_steady_power_state(self) -> None:
+        """The MBVR selection every steady no-op or in-window tick makes,
+        from the load the plan cached."""
+        self.node.mbvr.select_power_state(self._steady_load_w)
+
+    def _grant_in_window(self, f_core: float) -> bool:
+        """Whether a grant-only plan's dithered grant ``f_core`` leaves
+        every active core within the apply threshold (no apply)."""
+        target = self._steady_target_hz
+        granted = f_core if f_core < target else target
+        threshold = self._APPLY_THRESHOLD_HZ
+        return (abs(granted - self._steady_lo_hz) < threshold
+                and abs(granted - self._steady_hi_hz) < threshold)
 
     def _plan_steady(self) -> str:
         """Classify the cached derivation for :meth:`_steady_tick`.
@@ -337,6 +377,69 @@ class Pcu:
         self._steady_plan = plan
         return plan
 
+    # ---- steady spans (Node.run_span) ------------------------------------------------
+
+    def span_ready(self) -> bool:
+        """Whether this PCU's ticks can run inside a steady span.
+
+        Its last tick was steady on a no-op or grant-only plan and
+        nothing it reads has moved since: no apply pending, the same
+        control key, the package state and segment rates current. Each
+        further tick of the span then only selects the MBVR state and
+        takes its draws, until a dithered grant leaves the window.
+        """
+        plan = self._steady_plan
+        if (not (plan is _NOOP or plan is _GRANT) or self._pending_apply
+                or not self.fastpath_enabled):
+            return False
+        socket = self.socket
+        if not (socket.fastpath_enabled and socket.breakdown_current()
+                and socket.package_state_current(
+                    self.node.any_core_active())):
+            return False
+        if plan is _GRANT:
+            point = self._steady_point
+            if point.core_hz is None or not point.tdp_bound:
+                return False
+        return self._control_key() == self._ctrl_key
+
+    def span_draws(self) -> tuple[list[int], list[float] | None]:
+        """The tick-jitter draws and (grant-only plan) the dither draws
+        this PCU's next ticks will take without a refill."""
+        jitters = self._jitter_batch.ahead(*self._jitter_args)
+        if self._steady_plan is not _GRANT:
+            return jitters, None
+        return jitters, self.limiter.dither_ahead(self._dither_batch)
+
+    def span_grant_ok(self, dither: float) -> bool:
+        """Whether a tick drawing ``dither`` keeps the grant-only plan
+        (the window test of :meth:`_steady_tick`)."""
+        return self._grant_in_window(
+            self.limiter.dithered(self._steady_point, dither))
+
+    def span_tick(self, now_ns: int) -> int:
+        """Commit one span-absorbed tick's draws, in the order and at
+        the sites a steady tick takes them; returns the next tick's
+        time."""
+        if self._steady_plan is _GRANT:
+            self.limiter.dither(self._steady_point, self._dither_batch)
+        return self._next_tick_at(now_ns)
+
+    def span_eet_totals(self, states) -> list[list[float]]:
+        """The EET counter totals of each stacked node-block state."""
+        return self.socket.counter_totals(_EET_ROWS, states)
+
+    def span_eet_poll(self, totals: list[float]) -> bool:
+        """Replay one span-absorbed EET poll on its counter totals;
+        whether it moved the trim (a control key input)."""
+        trim = self.eet.trim_hz
+        self._eet_sample(totals)
+        return self.eet.trim_hz != trim
+
+    def rearm_tick(self, time_ns: int, seq: int) -> None:
+        """Queue the tick event at ``time_ns`` under a reserved ``seq``."""
+        self.sim.queue.rearm(self.tick_event, time_ns, self._tick, seq)
+
     def _control(self, now_ns: int) -> None:
         socket = self.socket
         socket.sync_package_state(self.node.any_core_active())
@@ -345,8 +448,13 @@ class Pcu:
         if self.fastpath_enabled and key == self._ctrl_key:
             # Steady state: no decision input moved since the derivation.
             self._steady_tick()
-            return
+        else:
+            self._derive(key)
 
+    def _derive(self, key: tuple) -> None:
+        """A tick's full derivation of every grant (cached under
+        ``key``, the control key observed before this tick)."""
+        socket = self.socket
         active = socket.active_cores()
         n_active = max(len(active), 1)
 

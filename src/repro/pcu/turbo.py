@@ -152,7 +152,19 @@ class TdpLimiter:
             dither = rng.take(0.0, DITHER_SIGMA_HZ)
         else:
             dither = float(rng.normal(0.0, DITHER_SIGMA_HZ))
-        return min(max(f_core + dither, self.spec.min_hz), point.f_common_hz)
+        return self.dithered(point, dither)
+
+    def dithered(self, point: SolvedPoint, dither: float) -> float:
+        """The grant of a TDP-bound ``point`` under one dither draw."""
+        return min(max(point.core_hz + dither, self.spec.min_hz),
+                   point.f_common_hz)
+
+    @staticmethod
+    def dither_ahead(batch: DrawBatch) -> list[float]:
+        """The dither draws ``batch`` holds for the next decisions
+        (:meth:`DrawBatch.ahead`); each one used is committed by a
+        :meth:`dither` call."""
+        return batch.ahead(0.0, DITHER_SIGMA_HZ)
 
     def grant(self, point: SolvedPoint, targets_hz: dict[int, float],
               rng: "np.random.Generator | DrawBatch | None" = None,

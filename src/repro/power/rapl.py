@@ -112,6 +112,14 @@ class RaplBank:
         for domain, value in self._energy_j.items():
             self._visible_j[domain] = value
 
+    def latch(self, package_j: float, dram_j: float) -> None:
+        """:meth:`refresh` as of an instant whose package and DRAM
+        energy were ``package_j`` and ``dram_j`` (a refresh a steady
+        span absorbed); no other domain accumulates during a segment."""
+        self.refresh()
+        self._visible_j[RaplDomain.PACKAGE] = package_j
+        self._visible_j[RaplDomain.DRAM] = dram_j
+
     # ---- units ------------------------------------------------------------------
 
     def energy_unit_j(self, domain: RaplDomain) -> float:

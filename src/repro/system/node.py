@@ -7,17 +7,27 @@ with one multiply-add per segment, and defers core c-state residency
 into one pending integer. It also owns the workload-phase event
 machinery and implements the software-visible control interfaces
 (cpufreq-like p-state requests, EPB, workload placement).
+
+Steady spans (:meth:`Node.run_span`): while nothing but the periodic
+events — both PCUs' ticks, their EET polls and the RAPL refresh —
+would fire, and each of those would change nothing but draws, the MBVR
+state, the EET window and the visible RAPL energy, the node runs them
+directly in (time, seq) order and integrates all their segments with
+one sequential accumulate, bit-identical to one event and one segment
+at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import heapq
+
 import numpy as np
 
 from repro.engine.epoch import EpochCell
 from repro.engine.simulator import Simulator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.pcu.epb import Epb
 from repro.pcu.pcu import Pcu
 from repro.power.mbvr import Mbvr, SvidCommand
@@ -31,6 +41,31 @@ from repro.system.socket import Socket
 from repro.topology.routing import LinkDerate
 from repro.units import NS_PER_S
 from repro.workloads.base import Workload
+
+#: The periodic events a steady span runs.
+_TICK, _POLL, _REFRESH = "tick", "poll", "refresh"
+
+#: Shortest span worth its fixed cost (array set-up, one accumulate);
+#: shorter runs fire as events.
+SPAN_MIN_EVENTS = 4
+#: Most events one span absorbs: bounds its buffers to
+#: ``SPAN_MAX_EVENTS`` rows of the node block plus the scalars.
+SPAN_MAX_EVENTS = 1024
+
+
+class _SpanTimer:
+    """One periodic event of a steady span: its kind, the index of its
+    PCU (ticks and polls), its re-armed :class:`Event`, its fixed
+    period (polls and refreshes) and its ``rearm(time_ns, seq)``."""
+
+    __slots__ = ("kind", "pcu", "event", "period_ns", "rearm")
+
+    def __init__(self, kind, pcu, event, period_ns, rearm) -> None:
+        self.kind = kind
+        self.pcu = pcu
+        self.event = event
+        self.period_ns = period_ns
+        self.rearm = rearm
 
 
 @dataclass
@@ -92,6 +127,13 @@ class Node:
             socket.attach(self._cnt_block, self._rate_block, first_col,
                           self.sync_residency)
             first_col += len(socket.cores)
+        # Steady spans: the periodic timers (collected on the first
+        # span, once every PCU and the RAPL refresh have started), and
+        # how many spans ran and how many events they absorbed.
+        self.rapl_timer = None
+        self._span_timers: list[_SpanTimer] | None = None
+        self.spans = 0
+        self.span_events = 0
 
     def set_fastpath(self, enabled: bool) -> None:
         """Toggle the steady-state fast path on every socket and PCU
@@ -337,17 +379,278 @@ class Node:
             for s in self.sockets:
                 s._cnt_res_flat[s._rates.res_flat] += pending
 
-    def _rapl_refresh(self, _now_ns: int) -> None:
-        trace = self.sim.trace
-        record = trace.wants("rapl-update")
+    def _rapl_refresh(self, now_ns: int) -> None:
+        record = self.sim.trace.wants("rapl-update")
         for s in self.sockets:
             s.rapl.refresh()
             if record:
-                trace.emit(
-                    self.sim.now_ns, f"rapl{s.socket_id}", "rapl-update",
-                    socket=s.socket_id,
-                    package=s.rapl.read_counter(RaplDomain.PACKAGE),
-                    dram=s.rapl.read_counter(RaplDomain.DRAM))
+                self._emit_rapl_update(now_ns, s)
+
+    def _emit_rapl_update(self, now_ns: int, s: Socket) -> None:
+        self.sim.trace.emit(
+            now_ns, f"rapl{s.socket_id}", "rapl-update",
+            socket=s.socket_id,
+            package=s.rapl.read_counter(RaplDomain.PACKAGE),
+            dram=s.rapl.read_counter(RaplDomain.DRAM))
+
+    # ---- steady spans ------------------------------------------------------------------------
+
+    def _collect_span_timers(self) -> list[_SpanTimer]:
+        timers = []
+        for index, pcu in enumerate(self.pcus):
+            timers.append(_SpanTimer(_TICK, index, pcu.tick_event, 0,
+                                     pcu.rearm_tick))
+            poll = pcu.eet_timer
+            if poll is not None:
+                timers.append(_SpanTimer(_POLL, index, poll.event,
+                                         poll.period_ns, poll.rearm))
+        refresh = self.rapl_timer
+        if refresh is not None:
+            timers.append(_SpanTimer(_REFRESH, -1, refresh.event,
+                                     refresh.period_ns, refresh.rearm))
+        self._span_timers = timers
+        return timers
+
+    def run_span(self, now_ns: int) -> None:
+        """Run the periodic events ahead of the queue as one span.
+
+        Called by a PCU after a steady tick at ``now_ns``. When both
+        PCUs are span-ready (:meth:`Pcu.span_ready`), the node runs its
+        PCU ticks, EET polls and RAPL refresh directly, in (time, seq)
+        order, in three phases and a commit:
+
+        1. *Plan* (:meth:`_span_plan`): merge the timers up to the
+           first of the queue head (the span's own re-arms take later
+           sequence numbers, so the head wins ties), the ``run_until``
+           horizon, a tick whose dithered grant leaves its window, and
+           the end of a PCU's draw block (:meth:`DrawBatch.ahead` never
+           refills).
+        2. *Integrate* (:meth:`_span_integrate`): one
+           ``np.add.accumulate`` over the initial state and each
+           segment's ``rate * dt_s`` advances the node block and every
+           scalar accumulator: the sequential sum the per-segment adds
+           compute, with the same products.
+        3. *Replay* the EET polls on the accumulated states; the span
+           ends after the first poll that moves a trim.
+
+        The commit (:meth:`_span_commit`) writes the final state,
+        latches each socket's RAPL energy as of the last refresh
+        (emitting every absorbed ``rapl-update`` when it is recorded),
+        makes the last tick's MBVR selection, takes each tick's draws
+        through the ordinary sites in event order, re-arms the timers
+        under the sequence numbers the events would have taken, and
+        advances any other integrator segment by segment. Another
+        integrator must not read the node's accumulators: during a
+        span it sees their end state.
+        """
+        for pcu in self.pcus:
+            if not pcu.span_ready():
+                return
+        if not any(c is self for c in self.sim.integrators):
+            return
+        plan = self._span_plan(now_ns)
+        if plan is None:
+            return
+        seg_ns, fired, polls = plan[:3]
+        acc = self._span_integrate(seg_ns)
+
+        # Phase 3: replay the EET polls; stop after a trim moves.
+        n_commit = len(fired)
+        if polls:
+            timers = self._span_timers
+            cnt = self._cnt_block
+            states = acc[[fired[j][3] for j in polls], :cnt.size].reshape(
+                (len(polls),) + cnt.shape)
+            totals = [pcu.span_eet_totals(states) for pcu in self.pcus]
+            for q, j in enumerate(polls):
+                p = timers[fired[j][1]].pcu
+                if self.pcus[p].span_eet_poll(totals[p][q]):
+                    n_commit = j + 1
+                    break
+        self._span_commit(now_ns, plan, acc, n_commit)
+
+    def _span_plan(self, now_ns: int) -> tuple | None:
+        """Phase 1 of :meth:`run_span`: which timer fires when.
+
+        Returns None for a span too short to pay for itself, else
+        ``(seg_ns, fired, polls, ticks, refreshes)``: the lengths of the
+        non-empty segments; per absorbed event ``(time, timer index,
+        the timer's next firing, segments up to the event)``; and the
+        positions in ``fired`` of the polls, ticks and refreshes.
+        """
+        sim = self.sim
+        queue = sim.queue
+        timers = self._span_timers or self._collect_span_timers()
+        events = tuple(timer.event for timer in timers)
+        for event in events:
+            if event.cancelled:
+                return None
+        limit = (sim.until_ns + 1, -1)
+        head = queue.head(events)
+        if head is not None and head < limit:
+            limit = head
+        pcus = self.pcus
+        # Per PCU: its jitter and dither read-aheads, the window test
+        # and the delay formula; per timer: its kind, owner and period.
+        draws = [pcu.span_draws() for pcu in pcus]
+        grant_ok = [pcu.span_grant_ok for pcu in pcus]
+        delay = [pcu.tick_delay for pcu in pcus]
+        kinds = [timer.kind for timer in timers]
+        owner = [timer.pcu for timer in timers]
+        period = [timer.period_ns for timer in timers]
+        n_ticks = [0] * len(pcus)
+        merge = [(event.time_ns, event.seq, i)
+                 for i, event in enumerate(events)]
+        heapq.heapify(merge)
+        replace = heapq.heapreplace
+        seq = queue.next_seq
+        fired: list[tuple[int, int, int, int]] = []
+        seg_ns: list[int] = []
+        polls: list[int] = []
+        ticks: list[int] = []
+        refreshes: list[int] = []
+        prev = now_ns
+        n = 0
+        while n < SPAN_MAX_EVENTS:
+            entry = merge[0]
+            if not entry < limit:
+                break
+            t, _, i = entry
+            kind = kinds[i]
+            if kind is _TICK:
+                p = owner[i]
+                k = n_ticks[p]
+                jitter, dither = draws[p]
+                if k >= len(jitter) or (dither is not None and (
+                        k >= len(dither) or not grant_ok[p](dither[k]))):
+                    break
+                t_next = t + delay[p](jitter[k])
+                n_ticks[p] = k + 1
+                ticks.append(n)
+            else:
+                t_next = t + period[i]
+                (polls if kind is _POLL else refreshes).append(n)
+            replace(merge, (t_next, seq + n, i))
+            if t != prev:
+                seg_ns.append(t - prev)
+                prev = t
+            fired.append((t, i, t_next, len(seg_ns)))
+            n += 1
+        if n < SPAN_MIN_EVENTS:
+            return None
+        return seg_ns, fired, polls, ticks, refreshes
+
+    def _span_integrate(self, seg_ns: list[int]) -> np.ndarray:
+        """Phase 2 of :meth:`run_span`: every state the segments pass.
+
+        Row ``k`` of the result is the state after ``k`` segments.
+        Columns: the node counter block (flattened), each socket's
+        scalar accumulators (:meth:`Socket.span_columns`), then the AC
+        energy. Every increment is the product :meth:`integrate` forms
+        and ``np.add.accumulate`` adds them in order, so each row is
+        bit-identical to that many per-segment adds.
+        """
+        cnt = self._cnt_block
+        n_block = cnt.size
+        values: list[float] = []
+        per_s: list[float] = []
+        dc_w = 0.0
+        for s in self.sockets:
+            v, r = s.span_columns()
+            values += v
+            per_s += r
+            dc_w += s._rates.dc_w
+        values.append(self.ac_energy_j)
+        per_s.append(0.0)
+        acc = np.empty((len(seg_ns) + 1, n_block + len(values)))
+        first = acc[0]
+        first[:n_block] = cnt.ravel()
+        first[n_block:] = values
+        if seg_ns:
+            rates = np.empty(acc.shape[1])
+            rates[:n_block] = self._rate_block.ravel()
+            rates[n_block:] = per_s
+            seg = np.array(seg_ns, dtype=np.float64)
+            inc = acc[1:]
+            np.multiply((seg / NS_PER_S)[:, None], rates, out=inc)
+            ncol = Socket.SPAN_COLUMNS
+            for index, s in enumerate(self.sockets):
+                c = n_block + index * ncol
+                s.span_increments(inc[:, c:c + ncol])
+            inc[:, -1] = self.psu.ac_power_w(dc_w) * seg / NS_PER_S
+            np.add.accumulate(acc, axis=0, out=acc)
+        return acc
+
+    def _span_commit(self, now_ns: int, plan: tuple, acc: np.ndarray,
+                     n_commit: int) -> None:
+        """The commit of :meth:`run_span`: the first ``n_commit``
+        planned events happen."""
+        seg_ns, fired, _polls, ticks, refreshes = plan
+        sim = self.sim
+        pcus = self.pcus
+        timers = self._span_timers
+        last = n_commit - 1
+        t_end, _, _, n_seg = fired[last]
+        cnt = self._cnt_block
+        n_block = cnt.size
+        ncol = Socket.SPAN_COLUMNS
+        final = acc[n_seg]
+        cnt[...] = final[:n_block].reshape(cnt.shape)
+        scalars = final[n_block:].tolist()
+        elapsed = t_end - now_ns
+        for index, s in enumerate(self.sockets):
+            s.absorb_span(scalars[index * ncol:(index + 1) * ncol],
+                          elapsed, n_seg)
+        self.ac_energy_j = scalars[-1]
+        self._res_pending_ns += elapsed
+
+        refreshes = [j for j in refreshes if j < n_commit]
+        if refreshes:
+            record = sim.trace.wants("rapl-update")
+            for j in (refreshes if record else refreshes[-1:]):
+                t, _, _, k = fired[j]
+                row = acc[k, n_block:].tolist()
+                for index, s in enumerate(self.sockets):
+                    s.latch_span_rapl(row[index * ncol:(index + 1) * ncol])
+                    if record:
+                        self._emit_rapl_update(t, s)
+
+        # Each tick's draws, in event order (the ledger is shared).
+        tick = [pcu.span_tick for pcu in pcus]
+        pcu_of = None
+        for j in ticks:
+            if j >= n_commit:
+                break
+            t, i, t_next, _ = fired[j]
+            pcu_of = timers[i].pcu
+            if tick[pcu_of](t) != t_next:
+                raise SimulationError(
+                    f"steady span at t={t} ns: a tick's jitter draw "
+                    "differs from its read-ahead")
+        if pcu_of is not None:
+            pcus[pcu_of].select_steady_power_state()
+
+        # Each timer re-armed as its last firing re-armed it.
+        base = sim.queue.reserve_seqs(n_commit)
+        rearmed: set[int] = set()
+        for j in range(last, -1, -1):
+            _, i, t_next, _ = fired[j]
+            if i not in rearmed:
+                rearmed.add(i)
+                timers[i].rearm(t_next, base + j)
+                if len(rearmed) == len(timers):
+                    break
+
+        sim.now_ns = t_end
+        others = [c for c in sim.integrators if c is not self]
+        if others:
+            t0 = now_ns
+            for dt in seg_ns[:n_seg]:
+                for component in others:
+                    component.integrate(t0, t0 + dt)
+                t0 += dt
+        self.spans += 1
+        self.span_events += n_commit
 
     # ---- human-readable state dump ---------------------------------------------
 
@@ -405,8 +708,9 @@ def build_node(
         pcu.start()
     sim.add_integrator(node)
     if spec.cpu.rapl_update_period_ns > 0:
-        sim.schedule_every(spec.cpu.rapl_update_period_ns,
-                           node._rapl_refresh, label="rapl-refresh")
+        node.rapl_timer = sim.schedule_every(
+            spec.cpu.rapl_update_period_ns, node._rapl_refresh,
+            label="rapl-refresh")
     # Initial SVID programming of the three MBVR lanes (Section II-B).
     node.mbvr.apply(SvidCommand("VCCin", 1.8))
     node.mbvr.apply(SvidCommand("VCCD_01", 1.2))

@@ -150,6 +150,7 @@ class Socket:
         self._rate_view = np.zeros_like(self._cnt_data)
         self._cnt_res = np.zeros((len(CSTATE_ROW), n), dtype=np.int64)
         self._cnt_res_flat = self._cnt_res.reshape(-1)   # shared view
+        self._cols = slice(0, n)        # columns of the node block (attach)
         self._sync_residency = no_pending_residency
         for j, core in enumerate(self.cores):
             core.counters.adopt(self._cnt_data[:, j], self._cnt_res[:, j])
@@ -189,6 +190,7 @@ class Socket:
         replacements.
         """
         cols = slice(first_col, first_col + len(self.cores))
+        self._cols = cols
         self._sync_residency = sync_residency
         self._cnt_data = cnt_block[:, cols]
         self._rate_view = rate_block[:, cols]
@@ -235,18 +237,28 @@ class Socket:
         point's: no rate-relevant mutation since the last segment."""
         return self._rates_epoch == self.epoch.value
 
+    def package_state_current(self, any_active_in_system: bool) -> bool:
+        """Whether :meth:`sync_package_state` would change nothing."""
+        return self._pkg_sync_key == (self.epoch.value, any_active_in_system)
+
     def counter_total(self, name: str) -> float:
         """Sum of one counter over all cores (vectorized over the SoA)."""
         return float(self._cnt_data[FIELD_ROW[name]].sum())
 
-    def counter_totals(self, rows: slice) -> list[float]:
+    def counter_totals(self, rows: slice,
+                       states: np.ndarray | None = None) -> list:
         """Sums of a slice of counter rows over all cores, in one reduce.
 
         Each row is summed like :meth:`counter_total` sums it (the same
         pairwise reduction along the contiguous core axis), so every
         value is bit-identical to the corresponding single-row call.
+        ``states`` is a stack of node counter-block states, shape
+        ``(k, n_fields, n_cores_total)`` (a steady span's EET replay):
+        the same reduce then yields one list of sums per state. By
+        default the live counters are read.
         """
-        return np.add.reduce(self._cnt_data[rows], axis=1).tolist()
+        data = self._cnt_data if states is None else states[..., self._cols]
+        return np.add.reduce(data[..., rows, :], axis=-1).tolist()
 
     # ---- bandwidth evaluation ------------------------------------------------------
 
@@ -581,11 +593,67 @@ class Socket:
             energy[_RAPL_DRAM] += dram_e
         self._residency_pkg_ns[self.package_cstate] += dt_ns
 
-    def _check_epoch_consistency(self, cached: "_SegmentRates") -> None:
+    # The scalar accumulators a steady span advances, in column order.
+    SPAN_COLUMNS = 7
+
+    def span_columns(self) -> tuple[list[float], list[float]]:
+        """``(values, rates)`` of the scalar accumulators
+        :meth:`integrate` advances, for a steady span's accumulate.
+
+        Columns: uncore L3 bytes, DRAM bytes and clock ticks, package
+        and DRAM energy, RAPL package and DRAM energy. A segment adds
+        ``rate * dt_s`` to each, as :meth:`integrate` does, except
+        where :meth:`span_increments` forms the RAPL product.
+        """
+        rates = self._rates
+        ucnt = self.uncore.counters
+        energy = self._rapl_energy
+        values = [ucnt.l3_bytes, ucnt.dram_bytes, ucnt.uclk,
+                  self.energy_pkg_j, self.energy_dram_j,
+                  energy[_RAPL_PKG], energy[_RAPL_DRAM]]
+        pkg_w, dram_w = rates.pkg_w, rates.breakdown.dram_w
+        per_s = [rates.uncore_l3_rate, rates.uncore_dram_rate,
+                 rates.uclk_rate, pkg_w, dram_w, pkg_w, dram_w]
+        return values, per_s
+
+    def span_increments(self, inc: np.ndarray) -> None:
+        """Fix the RAPL columns of a span's per-segment increments
+        (``(k, SPAN_COLUMNS)``, :meth:`span_columns` order): modeled
+        RAPL adds the energy increment times the workload bias."""
+        if self._rapl_biased:
+            bias = self._rates.bias
+            inc[:, 5] = inc[:, 3] * bias
+            inc[:, 6] = inc[:, 4] * bias
+
+    def latch_span_rapl(self, values: list[float]) -> None:
+        """Latch the visible RAPL energy as of one span state
+        (:meth:`span_columns` order)."""
+        self.rapl.latch(values[5], values[6])
+
+    def absorb_span(self, values: list[float], elapsed_ns: int,
+                    n_segments: int) -> None:
+        """Commit a steady span: the scalar accumulators' final
+        ``values`` (:meth:`span_columns` order) and ``n_segments``
+        segments totalling ``elapsed_ns`` at the current operating
+        point."""
+        ucnt = self.uncore.counters
+        (ucnt.l3_bytes, ucnt.dram_bytes, ucnt.uclk,
+         self.energy_pkg_j, self.energy_dram_j, pkg_j, dram_j) = values
+        energy = self._rapl_energy
+        energy[_RAPL_PKG] = pkg_j
+        energy[_RAPL_DRAM] = dram_j
+        self._residency_pkg_ns[self.package_cstate] += elapsed_ns
+        if self.sanitize_enabled and n_segments:
+            self._check_epoch_consistency(self._rates, n_segments)
+
+    def _check_epoch_consistency(self, cached: "_SegmentRates",
+                                 n_segments: int = 1) -> None:
         """Sanitize mode: recompute the cached rates on a sampled segment.
 
         Runs on cache-hit segments only, every ``EPOCH_CHECK_STRIDE``-th
-        hit. The fresh recompute goes through :meth:`_compute_rates` —
+        hit; a steady span counts its ``n_segments`` hits at once and
+        runs the check once if a stride boundary falls among them. The
+        fresh recompute goes through :meth:`_compute_rates` —
         the path integration actually uses — deliberately bypassing the
         operating-point memo (a memo hit would just echo the
         possibly-stale cache back at itself). Both the cached
@@ -599,10 +667,15 @@ class Socket:
         state mutation), so the check observes without perturbing.
         """
         counter = self._sanitize_segments
-        self._sanitize_segments = counter + 1
-        if counter % sanitize.EPOCH_CHECK_STRIDE != 0:
+        self._sanitize_segments = counter + n_segments
+        stride = sanitize.EPOCH_CHECK_STRIDE
+        # Stride boundaries among the hits counter .. counter + n - 1;
+        # the check is pure, so one run covers every boundary a steady
+        # span's segments cross.
+        due = (counter + n_segments - 1) // stride - (counter - 1) // stride
+        if not due:
             return
-        self.sanitize_checks += 1
+        self.sanitize_checks += due
         fresh = self._compute_rates()
         if not np.array_equal(cached.rate_matrix, fresh.rate_matrix):
             bad = np.argwhere(

@@ -10,6 +10,12 @@ from repro.errors import SimulationError
 from repro.units import us, ms
 
 
+def _drain(q: EventQueue, until: int = 10**18) -> None:
+    """Fire every queued event up to ``until``, in queue order."""
+    while (ev := q.pop_next_until(until)) is not None:
+        ev.action(ev.time_ns)
+
+
 class TestEventQueue:
     def test_orders_by_time(self):
         q = EventQueue()
@@ -17,8 +23,7 @@ class TestEventQueue:
         q.push(30, lambda t: fired.append(("c", t)))
         q.push(10, lambda t: fired.append(("a", t)))
         q.push(20, lambda t: fired.append(("b", t)))
-        while (ev := q.pop()) is not None:
-            ev.action(ev.time_ns)
+        _drain(q)
         assert fired == [("a", 10), ("b", 20), ("c", 30)]
 
     def test_same_time_fifo(self):
@@ -26,8 +31,7 @@ class TestEventQueue:
         fired = []
         for name in "abc":
             q.push(5, lambda t, n=name: fired.append(n))
-        while (ev := q.pop()) is not None:
-            ev.action(ev.time_ns)
+        _drain(q)
         assert fired == ["a", "b", "c"]
 
     def test_cancellation_is_lazy_but_effective(self):
@@ -35,8 +39,10 @@ class TestEventQueue:
         ev = q.push(10, lambda t: None)
         q.push(20, lambda t: None)
         ev.cancel()
-        assert len(q) == 1
-        assert q.peek_time() == 20
+        assert q.head() == (20, 1)
+        assert q.pop_next_until(15) is None
+        assert q.pop_next_until(20).time_ns == 20
+        assert q.pop_next_until(10**9) is None
 
     def test_rejects_negative_time(self):
         with pytest.raises(SimulationError):
@@ -44,8 +50,96 @@ class TestEventQueue:
 
     def test_empty_queue(self):
         q = EventQueue()
-        assert q.peek_time() is None
-        assert q.pop() is None
+        assert q.head() is None
+        assert q.pop_next_until(10**9) is None
+
+    def test_head_skips_excluded_and_rearmed_entries(self):
+        q = EventQueue()
+        own = q.push(10, lambda t: None)
+        other = q.push(10, lambda t: None)
+        assert q.head() == (10, 0)
+        assert q.head((own,)) == (10, 1)
+        # A re-arm leaves the old entry behind as a dead one.
+        q.rearm(own, 5, own.action)
+        assert q.head() == (5, 2)
+        assert q.head((own, other)) is None
+        assert q.pop_next_until(10**9) is own
+        assert q.pop_next_until(10**9) is other
+        assert q.pop_next_until(10**9) is None
+
+
+class TestRearm:
+    def test_stop_inside_own_action(self):
+        sim = Simulator(seed=1)
+        fired = []
+
+        def action(t):
+            fired.append(t)
+            if len(fired) == 2:
+                task.stop()
+
+        task = sim.schedule_every(us(100), action)
+        sim.run_until(ms(1))
+        assert fired == [us(100), us(200)]
+
+    def test_stop_while_queued(self):
+        sim = Simulator(seed=1)
+        fired = []
+        task = sim.schedule_every(us(100), lambda t: fired.append(t))
+        sim.run_until(us(250))
+        task.stop()
+        sim.run_until(ms(1))
+        assert fired == [us(100), us(200)]
+
+    def test_action_restored_after_outside_wrapper(self):
+        """An observer that wraps each popped event's action (as a
+        tracer does) wraps every firing once, never a kept wrapper."""
+        sim = Simulator(seed=1)
+        fired = []
+        depths = []
+        sim.schedule_every(us(100), lambda t: fired.append(t))
+        queue = sim.queue
+        pop = queue.pop_next_until
+
+        def wrapping_pop(t_ns):
+            event = pop(t_ns)
+            if event is not None:
+                inner = event.action
+                depth = getattr(inner, "depth", 0) + 1
+
+                def wrapper(now_ns):
+                    depths.append(depth)
+                    inner(now_ns)
+                wrapper.depth = depth
+                event.action = wrapper
+            return event
+
+        queue.pop_next_until = wrapping_pop
+        sim.run_until(us(550))
+        assert fired == [us(100 * k) for k in range(1, 6)]
+        assert depths == [1] * 5
+
+    def test_same_time_fifo_with_rearmed_events(self):
+        """A re-arm takes the next sequence number, so an event pushed
+        before it at the same instant fires first, and one pushed after
+        it fires later."""
+        sim = Simulator(seed=1)
+        fired = []
+        sim.schedule_every(us(100), lambda t: fired.append(("tick", t)))
+        sim.schedule_at(us(200), lambda t: fired.append(("early", t)))
+        sim.run_until(us(150))       # the tick re-arms for 200 us here
+        sim.schedule_at(us(200), lambda t: fired.append(("late", t)))
+        sim.run_until(us(200))
+        assert fired == [("tick", us(100)), ("early", us(200)),
+                         ("tick", us(200)), ("late", us(200))]
+
+    def test_rearm_reuses_one_event(self):
+        sim = Simulator(seed=1)
+        task = sim.schedule_every(us(100), lambda t: None)
+        event = task.event
+        sim.run_until(ms(1))
+        assert task.event is event
+        assert event.time_ns == us(1100)
 
 
 class TestSimulator:

@@ -20,17 +20,19 @@ from tests.conftest import all_core_ids
 def tick_times(monkeypatch) -> tuple[Simulator, dict[int, list[int]]]:
     """A Haswell node whose PCU ticks are logged per socket.
 
-    The spy is installed before the node is built, so even the first
-    tick each PCU schedules is recorded.
+    The spy wraps the one jitter draw every tick takes
+    (``Pcu._next_tick_at``), whether it fires as an event or inside a
+    steady span. It is installed before the node is built, so even the
+    first tick each PCU schedules is recorded.
     """
     times: dict[int, list[int]] = {0: [], 1: []}
-    tick = Pcu._tick
+    next_tick = Pcu._next_tick_at
 
     def spy(pcu, now_ns):
         times[pcu.socket.socket_id].append(now_ns)
-        tick(pcu, now_ns)
+        return next_tick(pcu, now_ns)
 
-    monkeypatch.setattr(Pcu, "_tick", spy)
+    monkeypatch.setattr(Pcu, "_next_tick_at", spy)
     sim = Simulator(seed=1234)
     build_node(sim, HASWELL_TEST_NODE)
     return sim, times

@@ -29,6 +29,7 @@ BAD_FIXTURES = {
     "bad_units.py": {"units-mix"},
     "bad_epoch.py": {"epoch-bypass"},
     "bad_rng_batch.py": {"rng-batch-bypass"},
+    "bad_rng_readahead.py": {"rng-batch-bypass"},
     "msr_regs_bad.py": {"msr-layout"},
     "trace_schema_bad_version.py": {"trace-schema-version"},
     "trace_schema_bad_digest.py": {"trace-schema-digest"},
@@ -50,6 +51,7 @@ GOOD_FIXTURES = [
     "good_units.py",
     "good_epoch.py",
     "good_rng_batch.py",
+    "good_rng_readahead.py",
     "msr_regs_good.py",
     "trace_schema_good.py",
     "good_suppression.py",
@@ -116,6 +118,12 @@ class TestRuleFixtures:
         findings = lint_source(path.read_text(), str(path),
                                config=LintConfig())
         assert not [f for f in findings if f.rule == "rng-batch-bypass"]
+
+    def test_rng_batch_rule_sees_named_read_ahead(self):
+        # getattr with a literal name and operator.attrgetter reach the
+        # buffer as surely as the attribute does.
+        findings = lint_fixture("bad_rng_readahead.py")
+        assert [f.line for f in findings] == [8, 9, 13, 17]
 
     def test_every_rule_family_has_a_fixture_pair(self):
         covered = set().union(*BAD_FIXTURES.values()) - {"suppression"}

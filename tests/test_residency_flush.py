@@ -57,14 +57,16 @@ class _CStateTally:
 class _Twin:
     """One node plus the read surfaces taken before it ran."""
 
-    def __init__(self, fastpath: bool, workload: Workload) -> None:
+    def __init__(self, fastpath: bool, workload: Workload,
+                 tally: bool = True) -> None:
         self.sim, self.node = build_haswell_node(seed=4242)
         self.node.set_fastpath(fastpath)
         self.node.run_workload(list(range(6)), workload)
         self.node.run_workload([14, 15], workload)
         self.cores = self.node.all_cores
         self.tally = _CStateTally(self.cores)
-        self.sim.add_integrator(self.tally)
+        if tally:
+            self.sim.add_integrator(self.tally)
         self.views = [c.counters.cstate_residency_ns for c in self.cores]
         self.report = ResidencyReport(self.node)
 
@@ -104,6 +106,23 @@ def test_reads_match_fastpath_off_twin(drive):
                 "in the wrong c-state row")
     # The deferral must actually have been in play at the reads.
     assert reads_with_pending > len(READ_GAPS_NS) // 2
+
+
+def test_reads_match_without_tally():
+    """The node as the simulator's only integrator: steady spans absorb
+    the periodic events between reads, and every read surface still
+    matches the fast-path-off twin."""
+    fast = _Twin(True, DRIVES["steady"](), tally=False)
+    slow = _Twin(False, DRIVES["steady"](), tally=False)
+    for gap in READ_GAPS_NS * 3:
+        fast.sim.run_for(gap)
+        slow.sim.run_for(gap)
+        a, b = fast.read(), slow.read()
+        mismatched = [k for k in a if a[k] != b[k]]
+        assert not mismatched, (
+            f"t={fast.sim.now_ns} ns: deferred residency diverged on "
+            f"{mismatched[:5]}")
+    assert fast.node.span_events > 0, "no span ran between the reads"
 
 
 @pytest.mark.parametrize("drive", sorted(DRIVES))

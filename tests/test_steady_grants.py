@@ -34,19 +34,25 @@ from repro.workloads.firestarter import firestarter
 def tick_log(monkeypatch) -> list:
     """Records, in event order, every PCU tick as ``("tick", socket,
     derived)`` and every landed apply batch that moved a clock as
-    ``("land", socket)``."""
+    ``("land", socket)``.
+
+    A tick is logged at its one jitter draw (``Pcu._next_tick_at``),
+    which ticks run as events and ticks a steady span absorbs both
+    take; only an event tick can derive.
+    """
     log: list = []
-    tick, steady, finish = (Pcu._tick, Pcu._steady_tick,
-                            Pcu._finish_apply_batch)
+    next_tick, derive, finish = (Pcu._next_tick_at, Pcu._derive,
+                                 Pcu._finish_apply_batch)
 
-    def spy_tick(pcu, now_ns):
-        pcu._spy_steady = False
-        tick(pcu, now_ns)
-        log.append(("tick", pcu.socket.socket_id, not pcu._spy_steady))
+    def spy_next_tick(pcu, now_ns):
+        log.append(("tick", pcu.socket.socket_id,
+                    getattr(pcu, "_spy_derived", False)))
+        pcu._spy_derived = False
+        return next_tick(pcu, now_ns)
 
-    def spy_steady(pcu):
-        pcu._spy_steady = True
-        steady(pcu)
+    def spy_derive(pcu, key):
+        pcu._spy_derived = True
+        derive(pcu, key)
 
     def spy_finish(pcu, now_ns):
         before = [c.freq_hz for c in pcu.socket.cores]
@@ -54,8 +60,8 @@ def tick_log(monkeypatch) -> list:
         if before != [c.freq_hz for c in pcu.socket.cores]:
             log.append(("land", pcu.socket.socket_id))
 
-    monkeypatch.setattr(Pcu, "_tick", spy_tick)
-    monkeypatch.setattr(Pcu, "_steady_tick", spy_steady)
+    monkeypatch.setattr(Pcu, "_next_tick_at", spy_next_tick)
+    monkeypatch.setattr(Pcu, "_derive", spy_derive)
     monkeypatch.setattr(Pcu, "_finish_apply_batch", spy_finish)
     return log
 
