@@ -25,7 +25,9 @@ but not identical to a serial chaos run.
 ``--chaos <seed>`` replays the full suite under a deterministic
 injected fault plan (RAPL counter wraps, transient MSR read failures,
 meter dropouts/glitches, PCU-tick jitter, PROCHOT throttle episodes);
-see docs/fault_injection.md.
+see docs/fault_injection.md. Its artifacts land in the git-ignored
+``run_paper_<id>.chaos.txt``, so a chaos run leaves the committed ones
+alone.
 
 ``--record <trace>`` / ``--replay <trace>`` capture and verify a
 canonical conformance trace (event-for-event replay equality; see
@@ -43,7 +45,8 @@ flushed (``run_paper_report.partial.json``) and the process exits with
 the distinct code 75 so callers can tell "interrupted but resumable"
 from failure.
 
-Artifacts land in benchmarks/output/run_paper_*.txt. The full default
+Artifacts land in benchmarks/output/run_paper_<id>.txt (with
+``--chaos``, run_paper_<id>.chaos.txt). The full default
 suite (no ``--only``, ``--chaos`` or ``--full``) also writes the committed
 run_paper_report.json with the per-experiment outcomes and, when every
 experiment succeeded, the paper-vs-measured EXPERIMENTS.md.
@@ -119,8 +122,9 @@ def _experiments(full: bool) -> dict:
     return {name: functools.partial(build, name, full) for name in CATALOG}
 
 
-def _artifact_writer(name: str, text: str) -> Path:
-    return write_atomic(OUTPUT_DIR / f"run_paper_{name}.txt", text + "\n")
+def _artifact_writer(name: str, text: str, suffix: str = "") -> Path:
+    return write_atomic(OUTPUT_DIR / f"run_paper_{name}{suffix}.txt",
+                        text + "\n")
 
 
 class _Interrupted(BaseException):
@@ -262,7 +266,11 @@ def main() -> int:
     runner = ExperimentRunner(
         [ExperimentSpec(name=name, build=build, timeout_s=args.timeout)
          for name, build in experiments.items()],
-        artifact_writer=_artifact_writer,
+        # Chaos perturbs the results by design: its artifacts go to
+        # git-ignored names, never over the committed ones.
+        artifact_writer=(_artifact_writer if args.chaos is None else
+                         functools.partial(_artifact_writer,
+                                           suffix=".chaos")),
         max_attempts=args.max_attempts,
         chaos_seed=args.chaos,
         chaos_profile=profile,

@@ -6,8 +6,6 @@ from repro.power.model import PowerModel, SocketPowerBreakdown
 from repro.power.rapl import (
     RaplDomain,
     RaplBank,
-    MeasuredRaplBackend,
-    ModeledRaplBackend,
     DramRaplMode,
 )
 from repro.power.psu import PsuModel
@@ -21,8 +19,6 @@ __all__ = [
     "SocketPowerBreakdown",
     "RaplDomain",
     "RaplBank",
-    "MeasuredRaplBackend",
-    "ModeledRaplBackend",
     "DramRaplMode",
     "PsuModel",
 ]

@@ -1,15 +1,20 @@
 """RAPL (running average power limiting) energy accounting (Section IV).
 
-Two backends reproduce the paper's central RAPL finding:
+A :class:`RaplBank` is plain storage: one float per supported domain,
+a view of its socket's scalar accumulators in the node's accumulator
+vector, which :meth:`repro.system.node.Node.integrate` advances with
+every other accumulator. What each segment adds is the socket's
+per-second RAPL rate, and that rate carries the paper's central RAPL
+finding:
 
-* :class:`MeasuredRaplBackend` — Haswell-EP: FIVR current sensing makes
-  RAPL an actual *measurement*; the accumulated energy equals the ground
-  truth (plus quantization to the energy unit and the ~1 ms register
-  update period).
-* :class:`ModeledRaplBackend` — Sandy Bridge-EP: RAPL was a *model*
-  driven by event counters, with a workload-dependent bias. The backend
-  scales true energy by the bias factor of whatever is executing, which
-  recreates the per-workload branches of Fig. 2a.
+* Haswell-EP (``modeled=False``): FIVR current sensing makes RAPL an
+  actual *measurement*; the package and DRAM rates are the true power,
+  so the accumulated energy equals the ground truth (plus quantization
+  to the energy unit and the ~1 ms register update period).
+* Sandy Bridge-EP (``modeled=True``): RAPL was a *model* driven by event
+  counters, with a workload-dependent bias. The rates are the true
+  power times the bias of whatever is executing, which recreates the
+  per-workload branches of Fig. 2a.
 
 Haswell-EP specifics the paper documents are enforced here: the PP0
 (core) domain is not supported; the DRAM domain must be read with the
@@ -22,7 +27,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import UnsupportedFeatureError, ConfigurationError
 from repro.specs.cpu import CpuSpec
@@ -33,9 +40,9 @@ class RaplDomain(enum.Enum):
     DRAM = "dram"
     PP0 = "pp0"
 
-    # Identity hash (consistent with enum identity-equality): the
-    # accumulation path hits the per-domain dicts on every integration
-    # segment, and the Python-level Enum.__hash__ shows up there.
+    # Identity hash (consistent with enum identity-equality): every
+    # refresh and counter read hits the per-domain dicts, and the
+    # Python-level Enum.__hash__ shows up there.
     __hash__ = object.__hash__
 
 
@@ -50,57 +57,35 @@ _COUNTER_BITS = 32
 _COUNTER_WRAP = 1 << _COUNTER_BITS
 
 
-class MeasuredRaplBackend:
-    """FIVR-based energy measurement: accumulates ground-truth joules."""
-
-    def accumulate(self, true_joules: float, bias: float) -> float:
-        return true_joules
-
-
-class ModeledRaplBackend:
-    """Pre-Haswell event-counter model: workload-biased estimate."""
-
-    def accumulate(self, true_joules: float, bias: float) -> float:
-        return true_joules * bias
-
-
 @dataclass
 class RaplBank:
     """The RAPL MSR bank of one socket."""
 
     spec: CpuSpec
-    backend: MeasuredRaplBackend | ModeledRaplBackend
+    # Sandy Bridge-style event-counter model (biased) instead of the
+    # Haswell-EP measurement; the socket scales its RAPL rates by it.
+    modeled: bool = False
     dram_mode: DramRaplMode = DramRaplMode.MODE1
-    # continuously integrated energy (J) per domain
-    _energy_j: dict[RaplDomain, float] = field(default_factory=dict)
-    # snapshot visible through the MSR, refreshed every ~1 ms
-    _visible_j: dict[RaplDomain, float] = field(default_factory=dict)
-    # raw-counter skew (counts) per domain — fault injection shifts the
-    # 32-bit counter's phase so a wrap lands at a chosen instant without
-    # perturbing the true accumulated energy
-    _counter_skew: dict[RaplDomain, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        domains = [RaplDomain.PACKAGE, RaplDomain.DRAM]
-        if self.spec.has_pp0_rapl:
-            domains.append(RaplDomain.PP0)
-        self._energy_j = {d: 0.0 for d in domains}
-        self._visible_j = {d: 0.0 for d in domains}
-        if (self.dram_mode is DramRaplMode.MODE0
-                and self.spec.rapl_dram_energy_unit_j not in (0.0,)
-                and self.spec.microarch.codename == "haswell-ep"):
-            # Allowed (a BIOS may still offer it) but behaviour is wrong;
-            # reads will use the generic unit. See read_energy_j().
-            pass
+        self.domains = (RaplDomain.PACKAGE, RaplDomain.DRAM) + (
+            (RaplDomain.PP0,) if self.spec.has_pp0_rapl else ())
+        self._slot = {d: i for i, d in enumerate(self.domains)}
+        # continuously integrated energy (J), in ``domains`` order
+        self.energy_j = np.zeros(len(self.domains), dtype=np.float64)
+        # snapshot visible through the MSR, refreshed every ~1 ms
+        self._visible_j = {d: 0.0 for d in self.domains}
+        # raw-counter skew (counts) per domain — fault injection shifts
+        # the 32-bit counter's phase so a wrap lands at a chosen instant
+        # without perturbing the true accumulated energy
+        self._counter_skew: dict[RaplDomain, int] = {}
 
-    # ---- accumulation (Socket.integrate inlines it for PACKAGE + DRAM) ------
-
-    def accumulate(self, domain: RaplDomain, true_joules: float,
-                   bias: float = 1.0) -> None:
-        if domain not in self._energy_j:
+    def _check(self, domain: RaplDomain) -> int:
+        slot = self._slot.get(domain)
+        if slot is None:
             raise UnsupportedFeatureError(
                 f"RAPL domain {domain.value} not supported on {self.spec.model}")
-        self._energy_j[domain] += self.backend.accumulate(true_joules, bias)
+        return slot
 
     def refresh(self) -> None:
         """Latch accumulated energy into the visible MSR snapshot.
@@ -109,16 +94,13 @@ class RaplBank:
         millisecond; the node schedules this at
         ``spec.rapl_update_period_ns``.
         """
-        for domain, value in self._energy_j.items():
-            self._visible_j[domain] = value
+        self.latch(self.energy_j)
 
-    def latch(self, package_j: float, dram_j: float) -> None:
-        """:meth:`refresh` as of an instant whose package and DRAM
-        energy were ``package_j`` and ``dram_j`` (a refresh a steady
-        span absorbed); no other domain accumulates during a segment."""
-        self.refresh()
-        self._visible_j[RaplDomain.PACKAGE] = package_j
-        self._visible_j[RaplDomain.DRAM] = dram_j
+    def latch(self, energy_j: np.ndarray) -> None:
+        """:meth:`refresh` as of an instant whose domain energies
+        (``domains`` order) were ``energy_j`` (a refresh a steady span
+        absorbed)."""
+        self._visible_j.update(zip(self.domains, energy_j.tolist()))
 
     # ---- units ------------------------------------------------------------------
 
@@ -141,9 +123,7 @@ class RaplBank:
 
     def read_counter(self, domain: RaplDomain) -> int:
         """Raw 32-bit energy-status counter (wraps)."""
-        if domain not in self._visible_j:
-            raise UnsupportedFeatureError(
-                f"RAPL domain {domain.value} not supported on {self.spec.model}")
+        self._check(domain)
         unit = self.energy_unit_j(domain)
         skew = self._counter_skew.get(domain, 0)
         return (int(self._visible_j[domain] / unit) + skew) % _COUNTER_WRAP
@@ -185,10 +165,7 @@ class RaplBank:
 
     def true_energy_j(self, domain: RaplDomain) -> float:
         """Unquantized accumulated energy (test/analysis convenience)."""
-        if domain not in self._energy_j:
-            raise UnsupportedFeatureError(
-                f"RAPL domain {domain.value} not supported on {self.spec.model}")
-        return self._energy_j[domain]
+        return float(self.energy_j[self._check(domain)])
 
 
 def wraparound_delta(counter_before: int, counter_after: int) -> int:

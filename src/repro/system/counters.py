@@ -6,21 +6,20 @@ clocks (``UNCORE_CLOCK:UBOXFIX``), and cache/DRAM traffic.
 
 Storage is structure-of-arrays: a :class:`CoreCounters` is a *view* of
 one column of its node's ``(n_fields, n_cores_total)`` counter block,
-so :meth:`repro.system.node.Node.integrate` advances every counter of
-every core on every socket with a single vectorized multiply-add per
-segment. C-state residency is integer nanoseconds in a socket-owned
+the head of the node's accumulator vector, and an
+:class:`UncoreCounters` is a view of three entries of its tail, so
+:meth:`repro.system.node.Node.integrate` advances every counter on
+every socket with a single vectorized multiply-add per segment.
+C-state residency is integer nanoseconds in a socket-owned
 ``(n_cstates, n_cores)`` matrix; the node defers the per-segment adds
 into one pending integer and folds it in when an operating point
 changes, so every residency read first calls the ``sync`` hook the
-owner installed (:meth:`CoreCounters.adopt`). A standalone
-``CoreCounters`` (a core not yet adopted, or a :meth:`snapshot`) owns
-its own one-column storage; the Python attribute values are
-materialized lazily, on read.
+owner installed (:meth:`CoreCounters.adopt`). A standalone counter
+set (not yet adopted, or a ``snapshot``) owns its own storage; the
+Python attribute values are materialized lazily, on read.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,14 +187,43 @@ class CoreCounters:
         return f"CoreCounters({fields})"
 
 
-@dataclass
-class UncoreCounters:
-    """Monotonic counters of one socket's uncore."""
+#: Uncore counter layout (uclk: UBOXFIX ticks): the head of a socket's
+#: scalar accumulators.
+UNCORE_COUNTER_FIELDS = ("uclk", "l3_bytes", "dram_bytes")
 
-    uclk: float = 0.0                  # uncore clock ticks (UBOXFIX)
-    l3_bytes: float = 0.0
-    dram_bytes: float = 0.0
+
+class UncoreCounters:
+    """Monotonic counters of one socket's uncore (views into node
+    storage, like :class:`CoreCounters`)."""
+
+    __slots__ = ("_data",)
+
+    def __init__(self, uclk: float = 0.0, l3_bytes: float = 0.0,
+                 dram_bytes: float = 0.0) -> None:
+        self._data = np.array([uclk, l3_bytes, dram_bytes],
+                              dtype=np.float64)
+
+    uclk = _field_property(0)
+    l3_bytes = _field_property(1)
+    dram_bytes = _field_property(2)
+
+    def adopt(self, data: np.ndarray) -> None:
+        """Rebind to owner-held entries (carrying current values)."""
+        data[:] = self._data
+        self._data = data
 
     def snapshot(self) -> "UncoreCounters":
-        return UncoreCounters(uclk=self.uclk, l3_bytes=self.l3_bytes,
-                              dram_bytes=self.dram_bytes)
+        """A detached copy with its own storage."""
+        copy = UncoreCounters()
+        copy._data = self._data.copy()
+        return copy
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UncoreCounters):
+            return NotImplemented
+        return bool(np.array_equal(self._data, other._data))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={float(self._data[i])!r}"
+                           for i, name in enumerate(UNCORE_COUNTER_FIELDS))
+        return f"UncoreCounters({fields})"

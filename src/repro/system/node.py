@@ -1,12 +1,14 @@
 """The full compute node: sockets, PCUs, MBVR, PSU, workload control.
 
 This is the top-level object experiments drive. It is the simulator's
-one integrator: it owns the float counter block every core counter
-lives in and the matching rate block, advances both sockets' counters
-with one multiply-add per segment, and defers core c-state residency
-into one pending integer. It also owns the workload-phase event
-machinery and implements the software-visible control interfaces
-(cpufreq-like p-state requests, EPB, workload placement).
+one integrator: it owns the accumulator vector every float accumulator
+of every socket lives in (the core counter block at its head, each
+socket's uncore, energy and RAPL entries in its tail) and the matching
+rate vector, advances all of them with one multiply-add per segment,
+and defers core c-state residency into one pending integer. It also
+owns the workload-phase event machinery and implements the
+software-visible control interfaces (cpufreq-like p-state requests,
+EPB, workload placement).
 
 Steady spans (:meth:`Node.run_span`): while nothing but the periodic
 events — both PCUs' ticks, their EET polls and the RAPL refresh —
@@ -109,24 +111,38 @@ class Node:
         self._active_counter = counter
         for c in cores:
             object.__setattr__(c, "_active_counter", counter)
-        # One (n_fields, n_cores_total) counter block and a same-shape
-        # rate block: each socket owns a column slice of both and keeps
-        # its rate slice current, so a segment advances every core
-        # counter on the node with one multiply and one add.
+        # One accumulator vector and a same-shape rate vector. Their
+        # head is the (n_fields, n_cores_total) core counter block, in
+        # which each socket owns a column slice; their tail holds each
+        # socket's scalar accumulators. Every socket keeps its rate
+        # entries current, so a segment advances every float
+        # accumulator on the node with one multiply and one add.
         shape = (len(CORE_COUNTER_FIELDS), len(cores))
-        self._cnt_block = np.zeros(shape, dtype=np.float64)
-        self._rate_block = np.zeros(shape, dtype=np.float64)
-        self._cnt_scratch = np.empty(shape, dtype=np.float64)
+        n_block = shape[0] * shape[1]
+        n_acc = n_block + sum(s._scalars.size for s in self.sockets)
+        self._acc = np.zeros(n_acc, dtype=np.float64)
+        self._acc_rates = np.zeros(n_acc, dtype=np.float64)
+        self._acc_scratch = np.empty(n_acc, dtype=np.float64)
+        self._cnt_block = self._acc[:n_block].reshape(shape)
+        self._rate_block = self._acc_rates[:n_block].reshape(shape)
         # Core c-state residency earned since the last sync, in ns. Every
         # socket's residency rows hold still until its rates are
         # replaced, so the per-segment integer adds are deferred into
         # this one count (integer adds are exact: bit-identical).
         self._res_pending_ns = 0
         first_col = 0
+        first = n_block
+        # Each RAPL bank's entries, for a steady span's latches.
+        self._rapl_entries = []
         for socket in self.sockets:
+            tail = slice(first, first + socket._scalars.size)
             socket.attach(self._cnt_block, self._rate_block, first_col,
+                          self._acc[tail], self._acc_rates[tail],
                           self.sync_residency)
+            self._rapl_entries.append(
+                slice(tail.stop - len(socket.rapl.domains), tail.stop))
             first_col += len(socket.cores)
+            first = tail.stop
         # Steady spans: the periodic timers (collected on the first
         # span, once every PCU and the RAPL refresh have started), and
         # how many spans ran and how many events they absorbed.
@@ -345,11 +361,12 @@ class Node:
     def integrate(self, t0_ns: int, t1_ns: int) -> None:
         """Advance every accumulator over ``[t0_ns, t1_ns)`` in one pass.
 
-        Each socket refreshes its slice of the rate block (syncing the
-        pending residency first whenever it does) and advances its
-        scalar accumulators; then one multiply-add over the node block
-        advances every core counter, the segment joins the pending
-        residency, and the AC meter integrates the sockets' DC sum.
+        Each socket refreshes its entries of the rate vector (syncing
+        the pending residency first whenever it does) and counts its
+        package residency; then one multiply-add over the accumulator
+        vector advances every core counter, uncore counter, energy and
+        RAPL accumulator, the segment joins the pending residency, and
+        the AC meter integrates the sockets' DC sum.
         """
         dt_ns = t1_ns - t0_ns
         if dt_ns <= 0:
@@ -358,10 +375,10 @@ class Node:
         any_active = self._active_counter[0] > 0
         dc_w = 0.0
         for s in self.sockets:
-            s.integrate(dt_ns, dt_s, any_active)
+            s.integrate(dt_ns, any_active)
             dc_w += s._rates.dc_w
-        np.multiply(self._rate_block, dt_s, out=self._cnt_scratch)
-        self._cnt_block += self._cnt_scratch
+        np.multiply(self._acc_rates, dt_s, out=self._acc_scratch)
+        self._acc += self._acc_scratch
         self._res_pending_ns += dt_ns
         ac_w = self.psu.ac_power_w(dc_w)
         self.ac_energy_j += ac_w * dt_ns / NS_PER_S
@@ -427,8 +444,8 @@ class Node:
            refills).
         2. *Integrate* (:meth:`_span_integrate`): one
            ``np.add.accumulate`` over the initial state and each
-           segment's ``rate * dt_s`` advances the node block and every
-           scalar accumulator: the sequential sum the per-segment adds
+           segment's ``rate * dt_s`` advances the accumulator vector
+           and the AC energy: the sequential sum the per-segment adds
            compute, with the same products.
         3. *Replay* the EET polls on the accumulated states; the span
            ends after the first poll that moves a trim.
@@ -544,40 +561,25 @@ class Node:
         """Phase 2 of :meth:`run_span`: every state the segments pass.
 
         Row ``k`` of the result is the state after ``k`` segments.
-        Columns: the node counter block (flattened), each socket's
-        scalar accumulators (:meth:`Socket.span_columns`), then the AC
-        energy. Every increment is the product :meth:`integrate` forms
-        and ``np.add.accumulate`` adds them in order, so each row is
+        Columns: the accumulator vector, then the AC energy. Every
+        increment is the product :meth:`integrate` forms and
+        ``np.add.accumulate`` adds them in order, so each row is
         bit-identical to that many per-segment adds.
         """
-        cnt = self._cnt_block
-        n_block = cnt.size
-        values: list[float] = []
-        per_s: list[float] = []
-        dc_w = 0.0
-        for s in self.sockets:
-            v, r = s.span_columns()
-            values += v
-            per_s += r
-            dc_w += s._rates.dc_w
-        values.append(self.ac_energy_j)
-        per_s.append(0.0)
-        acc = np.empty((len(seg_ns) + 1, n_block + len(values)))
-        first = acc[0]
-        first[:n_block] = cnt.ravel()
-        first[n_block:] = values
+        vec = self._acc
+        n = vec.size
+        acc = np.empty((len(seg_ns) + 1, n + 1))
+        acc[0, :n] = vec
+        acc[0, n] = self.ac_energy_j
         if seg_ns:
-            rates = np.empty(acc.shape[1])
-            rates[:n_block] = self._rate_block.ravel()
-            rates[n_block:] = per_s
+            dc_w = 0.0
+            for s in self.sockets:
+                dc_w += s._rates.dc_w
             seg = np.array(seg_ns, dtype=np.float64)
             inc = acc[1:]
-            np.multiply((seg / NS_PER_S)[:, None], rates, out=inc)
-            ncol = Socket.SPAN_COLUMNS
-            for index, s in enumerate(self.sockets):
-                c = n_block + index * ncol
-                s.span_increments(inc[:, c:c + ncol])
-            inc[:, -1] = self.psu.ac_power_w(dc_w) * seg / NS_PER_S
+            np.multiply((seg / NS_PER_S)[:, None], self._acc_rates,
+                        out=inc[:, :n])
+            inc[:, n] = self.psu.ac_power_w(dc_w) * seg / NS_PER_S
             np.add.accumulate(acc, axis=0, out=acc)
         return acc
 
@@ -591,17 +593,13 @@ class Node:
         timers = self._span_timers
         last = n_commit - 1
         t_end, _, _, n_seg = fired[last]
-        cnt = self._cnt_block
-        n_block = cnt.size
-        ncol = Socket.SPAN_COLUMNS
+        vec = self._acc
         final = acc[n_seg]
-        cnt[...] = final[:n_block].reshape(cnt.shape)
-        scalars = final[n_block:].tolist()
+        vec[...] = final[:vec.size]
+        self.ac_energy_j = final[vec.size].item()
         elapsed = t_end - now_ns
-        for index, s in enumerate(self.sockets):
-            s.absorb_span(scalars[index * ncol:(index + 1) * ncol],
-                          elapsed, n_seg)
-        self.ac_energy_j = scalars[-1]
+        for s in self.sockets:
+            s.absorb_span(elapsed, n_seg)
         self._res_pending_ns += elapsed
 
         refreshes = [j for j in refreshes if j < n_commit]
@@ -609,9 +607,9 @@ class Node:
             record = sim.trace.wants("rapl-update")
             for j in (refreshes if record else refreshes[-1:]):
                 t, _, _, k = fired[j]
-                row = acc[k, n_block:].tolist()
-                for index, s in enumerate(self.sockets):
-                    s.latch_span_rapl(row[index * ncol:(index + 1) * ncol])
+                row = acc[k]
+                for s, entries in zip(self.sockets, self._rapl_entries):
+                    s.rapl.latch(row[entries])
                     if record:
                         self._emit_rapl_update(t, s)
 

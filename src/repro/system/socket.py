@@ -3,12 +3,13 @@
 A socket turns its operating point into per-second rates over a
 segment during which every frequency, c-state and workload phase is
 constant (the engine guarantees this). This is where the frequency,
-bandwidth, IPC and power models meet. :meth:`Socket.integrate` is this
-socket's share of :meth:`repro.system.node.Node.integrate`: it keeps
-the socket's slice of the node rate block current and advances the
-socket's scalar accumulators (uncore counters, energy, RAPL, package
-residency); the node then advances every core counter of every socket
-with one vectorized multiply-add.
+bandwidth, IPC and power models meet. Every float accumulator of the
+socket is an entry of the node's accumulator vector (core counters,
+uncore counters, true energy, RAPL energy), which
+:meth:`repro.system.node.Node.integrate` advances with one vectorized
+multiply-add; :meth:`Socket.integrate` syncs the package c-state,
+keeps the socket's entries of the node rate vector current, and counts
+package residency.
 
 Steady-state fast path: most consecutive segments share the exact same
 operating point, so the per-second rates are computed once per *epoch*
@@ -24,7 +25,7 @@ scratch; both paths are bit-identical by construction and by test
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -35,17 +36,13 @@ from repro.errors import EpochConsistencyError
 from repro.memory.bandwidth import BandwidthDemand, SocketBandwidthModel
 from repro.power.fivr import Fivr
 from repro.power.model import PowerModel, SocketPowerBreakdown
-from repro.power.rapl import (
-    MeasuredRaplBackend,
-    ModeledRaplBackend,
-    RaplBank,
-    RaplDomain,
-)
+from repro.power.rapl import RaplBank
 from repro.specs.cpu import CpuSpec
 from repro.system.core import AVX_REQUEST_THROTTLE, AvxLicense, Core
 from repro.system.counters import (
     CSTATE_ROW,
     FIELD_ROW,
+    UNCORE_COUNTER_FIELDS,
     no_pending_residency,
 )
 from repro.system.uncore import Uncore
@@ -66,14 +63,17 @@ _ROW_L3 = FIELD_ROW["l3_bytes"]
 _ROW_DRAM = FIELD_ROW["dram_bytes"]
 _N_FIELD_ROWS = len(FIELD_ROW)
 _C0_RES_ROW = CSTATE_ROW[CState.C0]
-_RAPL_PKG = RaplDomain.PACKAGE
-_RAPL_DRAM = RaplDomain.DRAM
 _CSTATE_C0 = CState.C0
 # The seven rows a uniform lane fills, as one fancy-index vector: one
 # broadcast assignment instead of seven row-slice assignments.
 _UNIFORM_ROWS = np.array(
     [_ROW_APERF, _ROW_MPERF, _ROW_INSTR_T0, _ROW_INSTR_CORE,
      _ROW_STALL, _ROW_L3, _ROW_DRAM], dtype=np.intp)
+# A socket's scalar accumulators in the node vector: the uncore
+# counters, true package and DRAM energy, then RaplBank.domains.
+_UNCORE = slice(0, len(UNCORE_COUNTER_FIELDS))
+_TRUE_PKG, _TRUE_DRAM = _UNCORE.stop, _UNCORE.stop + 1
+_RAPL = slice(_UNCORE.stop + 2, None)
 
 
 @dataclass(frozen=True)
@@ -90,24 +90,33 @@ class _SegmentRates:
     uclk_rate: float
     breakdown: SocketPowerBreakdown
     bias: float
+    # sizes the scalar rates; a modeled bank's carry the bias
+    rapl: InitVar[RaplBank]
     # flat indices (row-major) into the residency matrix for the same
     # cells `res_rows` addresses column-wise; a 1-D fancy add on these
     # is cheaper than the 2-D (rows, cols) form and lands on the exact
     # same int64 cells.
     res_flat: np.ndarray = field(init=False)
 
-    # breakdown.package_w and the node's dc sum, precomputed once per
-    # operating point instead of re-adding on every segment.
-    pkg_w: float = field(init=False)
+    # the node's dc sum, precomputed once per operating point instead
+    # of re-adding on every segment.
     dc_w: float = field(init=False)
+    # per-second rates of the scalar accumulators, copied into the node
+    # rate vector with rate_matrix (PP0 accumulates nothing: rate 0)
+    scalars: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rapl: RaplBank) -> None:
         n = self.res_rows.shape[0]
         object.__setattr__(self, "res_flat",
                            self.res_rows * n + np.arange(n, dtype=np.intp))
-        object.__setattr__(self, "pkg_w", self.breakdown.package_w)
-        object.__setattr__(self, "dc_w",
-                           self.breakdown.package_w + self.breakdown.dram_w)
+        pkg_w, dram_w = self.breakdown.package_w, self.breakdown.dram_w
+        object.__setattr__(self, "dc_w", pkg_w + dram_w)
+        scale = self.bias if rapl.modeled else 1.0   # x * 1.0 is exact
+        scalars = np.zeros(_RAPL.start + len(rapl.domains))
+        scalars[:_RAPL.start + 2] = (
+            self.uclk_rate, self.uncore_l3_rate, self.uncore_dram_rate,
+            pkg_w, dram_w, pkg_w * scale, dram_w * scale)
+        object.__setattr__(self, "scalars", scalars)
 
 
 @dataclass
@@ -121,9 +130,6 @@ class Socket:
     power_model: PowerModel
     bw_model: SocketBandwidthModel
     rapl: RaplBank
-    # true (unbiased, unquantized) energy accumulators
-    energy_pkg_j: float = 0.0
-    energy_dram_j: float = 0.0
     # last evaluated instantaneous breakdown (for meters/PCU)
     last_breakdown: SocketPowerBreakdown | None = None
     package_cstate: PackageCState = PackageCState.PC0
@@ -155,6 +161,9 @@ class Socket:
         for j, core in enumerate(self.cores):
             core.counters.adopt(self._cnt_data[:, j], self._cnt_res[:, j])
             core._epoch_cell = self.epoch
+        # Scalar accumulators and rates; node vector entries on attach.
+        self._scalars = np.zeros(_RAPL.start + len(self.rapl.domains))
+        self._scalar_rates = np.zeros_like(self._scalars)
         self.uncore._epoch_cell = self.epoch
         # Epoch-keyed caches (instance state, never class-level: a
         # class-level cache slot would alias across sockets).
@@ -171,22 +180,20 @@ class Socket:
         self._pkg_sync_key: tuple[int, bool] | None = None
         self._active_cache: list[Core] = []
         self._active_epoch = -1
-        # The RAPL add, inlined: the measured backend credits true
-        # joules, the modeled one scales them by the workload bias.
-        self._rapl_energy = self.rapl._energy_j
-        self._rapl_biased = isinstance(self.rapl.backend,
-                                       ModeledRaplBackend)
 
     def attach(self, cnt_block: np.ndarray, rate_block: np.ndarray,
-               first_col: int, sync_residency) -> None:
-        """Move the float counters and rates into node-owned blocks.
+               first_col: int, scalars: np.ndarray,
+               scalar_rates: np.ndarray, sync_residency) -> None:
+        """Move every float accumulator and rate into node storage.
 
         Called once, by the node, before the first segment. Columns
         ``first_col : first_col + n_cores`` of the node's
         ``(n_fields, n_cores_total)`` counter and rate blocks become
-        this socket's; ``sync_residency`` folds the node's pending
-        residency nanoseconds into every socket's residency matrix and
-        is run before any of this socket's residency reads or rate
+        this socket's, as do ``scalars`` and ``scalar_rates`` (entries
+        of the node's vectors, ``_scalars.size`` long);
+        ``sync_residency`` folds the node's pending residency
+        nanoseconds into every socket's residency matrix and is run
+        before any of this socket's residency reads or rate
         replacements.
         """
         cols = slice(first_col, first_col + len(self.cores))
@@ -197,6 +204,12 @@ class Socket:
         for j, core in enumerate(self.cores):
             core.counters.adopt(self._cnt_data[:, j], self._cnt_res[:, j],
                                 sync_residency)
+        scalars[:] = self._scalars
+        self._scalars = scalars
+        self._scalar_rates = scalar_rates
+        self.uncore.counters.adopt(scalars[_UNCORE])
+        scalars[_RAPL] = self.rapl.energy_j
+        self.rapl.energy_j = scalars[_RAPL]
 
     # ---- construction ---------------------------------------------------------
 
@@ -213,10 +226,18 @@ class Socket:
         ]
         uncore = Uncore(spec=spec,
                         fivr=Fivr(domain=f"uncore{socket_id}", vf_curve=vf_uncore))
-        backend = MeasuredRaplBackend() if measured_rapl else ModeledRaplBackend()
         return cls(spec=spec, socket_id=socket_id, cores=cores, uncore=uncore,
                    power_model=power_model, bw_model=SocketBandwidthModel(spec),
-                   rapl=RaplBank(spec=spec, backend=backend))
+                   rapl=RaplBank(spec=spec, modeled=not measured_rapl))
+
+    @property
+    def energy_pkg_j(self) -> float:
+        """True (unbiased, unquantized) package energy (J)."""
+        return float(self._scalars[_TRUE_PKG])
+
+    @property
+    def energy_dram_j(self) -> float:
+        return float(self._scalars[_TRUE_DRAM])
 
     # ---- views used by the PCU and instruments ----------------------------------
 
@@ -361,6 +382,7 @@ class Socket:
             uclk_rate=0.0 if self.uncore.halted else self.uncore.freq_hz,
             breakdown=breakdown,
             bias=bias_num / bias_den if bias_den > 0 else _MODELED_IDLE_BIAS,
+            rapl=self.rapl,
         )
 
     def _compute_rates(self) -> "_SegmentRates":
@@ -411,7 +433,8 @@ class Socket:
                 rate_matrix=rate_matrix, res_rows=res_rows,
                 uncore_l3_rate=0.0, uncore_dram_rate=0.0,
                 uclk_rate=0.0 if halted else fu,
-                breakdown=breakdown, bias=_MODELED_IDLE_BIAS)
+                breakdown=breakdown, bias=_MODELED_IDLE_BIAS,
+                rapl=self.rapl)
 
         f0, phase0, nthr0, exec0 = lane0
         return self._uniform_rates(
@@ -499,6 +522,7 @@ class Socket:
             uclk_rate=0.0 if halted else fu,
             breakdown=breakdown,
             bias=bias_num / bias_den if bias_den > 0 else _MODELED_IDLE_BIAS,
+            rapl=self.rapl,
         )
 
     # Operating-point memo: tick-heavy workloads cycle through a handful
@@ -541,14 +565,13 @@ class Socket:
             memo[key] = rates
         return rates
 
-    def integrate(self, dt_ns: int, dt_s: float,
-                  any_active_in_system: bool) -> None:
+    def integrate(self, dt_ns: int, any_active_in_system: bool) -> None:
         """This socket's share of one node segment of ``dt_ns`` (> 0).
 
-        Brings the socket's slice of the node rate block up to date and
-        advances the scalar accumulators; the core counters in the
-        block are advanced by :meth:`repro.system.node.Node.integrate`
-        once every socket has run.
+        Brings the socket's entries of the node rate vector up to date
+        and counts package residency; every float accumulator is
+        advanced by :meth:`repro.system.node.Node.integrate` once every
+        socket has run.
         """
         # Inline fast check of sync_package_state's memo key; the method
         # re-resolves only when the epoch or system activity moved.
@@ -570,78 +593,16 @@ class Socket:
                                    else self._compute_rates())
             self._rates_epoch = self.epoch.value
             self._rate_view[...] = rates.rate_matrix
+            self._scalar_rates[...] = rates.scalars
         elif self.sanitize_enabled:
             self._check_epoch_consistency(rates)
         self.last_breakdown = rates.breakdown
-
-        ucnt = self.uncore.counters
-        ucnt.l3_bytes += rates.uncore_l3_rate * dt_s
-        ucnt.dram_bytes += rates.uncore_dram_rate * dt_s
-        ucnt.uclk += rates.uclk_rate * dt_s
-
-        pkg_e = rates.pkg_w * dt_s
-        dram_e = rates.breakdown.dram_w * dt_s
-        self.energy_pkg_j += pkg_e
-        self.energy_dram_j += dram_e
-        energy = self._rapl_energy
-        if self._rapl_biased:
-            bias = rates.bias
-            energy[_RAPL_PKG] += pkg_e * bias
-            energy[_RAPL_DRAM] += dram_e * bias
-        else:
-            energy[_RAPL_PKG] += pkg_e
-            energy[_RAPL_DRAM] += dram_e
         self._residency_pkg_ns[self.package_cstate] += dt_ns
 
-    # The scalar accumulators a steady span advances, in column order.
-    SPAN_COLUMNS = 7
-
-    def span_columns(self) -> tuple[list[float], list[float]]:
-        """``(values, rates)`` of the scalar accumulators
-        :meth:`integrate` advances, for a steady span's accumulate.
-
-        Columns: uncore L3 bytes, DRAM bytes and clock ticks, package
-        and DRAM energy, RAPL package and DRAM energy. A segment adds
-        ``rate * dt_s`` to each, as :meth:`integrate` does, except
-        where :meth:`span_increments` forms the RAPL product.
-        """
-        rates = self._rates
-        ucnt = self.uncore.counters
-        energy = self._rapl_energy
-        values = [ucnt.l3_bytes, ucnt.dram_bytes, ucnt.uclk,
-                  self.energy_pkg_j, self.energy_dram_j,
-                  energy[_RAPL_PKG], energy[_RAPL_DRAM]]
-        pkg_w, dram_w = rates.pkg_w, rates.breakdown.dram_w
-        per_s = [rates.uncore_l3_rate, rates.uncore_dram_rate,
-                 rates.uclk_rate, pkg_w, dram_w, pkg_w, dram_w]
-        return values, per_s
-
-    def span_increments(self, inc: np.ndarray) -> None:
-        """Fix the RAPL columns of a span's per-segment increments
-        (``(k, SPAN_COLUMNS)``, :meth:`span_columns` order): modeled
-        RAPL adds the energy increment times the workload bias."""
-        if self._rapl_biased:
-            bias = self._rates.bias
-            inc[:, 5] = inc[:, 3] * bias
-            inc[:, 6] = inc[:, 4] * bias
-
-    def latch_span_rapl(self, values: list[float]) -> None:
-        """Latch the visible RAPL energy as of one span state
-        (:meth:`span_columns` order)."""
-        self.rapl.latch(values[5], values[6])
-
-    def absorb_span(self, values: list[float], elapsed_ns: int,
-                    n_segments: int) -> None:
-        """Commit a steady span: the scalar accumulators' final
-        ``values`` (:meth:`span_columns` order) and ``n_segments``
-        segments totalling ``elapsed_ns`` at the current operating
-        point."""
-        ucnt = self.uncore.counters
-        (ucnt.l3_bytes, ucnt.dram_bytes, ucnt.uclk,
-         self.energy_pkg_j, self.energy_dram_j, pkg_j, dram_j) = values
-        energy = self._rapl_energy
-        energy[_RAPL_PKG] = pkg_j
-        energy[_RAPL_DRAM] = dram_j
+    def absorb_span(self, elapsed_ns: int, n_segments: int) -> None:
+        """Commit a steady span: ``n_segments`` segments totalling
+        ``elapsed_ns`` at the current operating point (the node has
+        written the accumulators)."""
         self._residency_pkg_ns[self.package_cstate] += elapsed_ns
         if self.sanitize_enabled and n_segments:
             self._check_epoch_consistency(self._rates, n_segments)
@@ -657,8 +618,9 @@ class Socket:
         the path integration actually uses — deliberately bypassing the
         operating-point memo (a memo hit would just echo the
         possibly-stale cache back at itself). Both the cached
-        ``_SegmentRates`` and the socket's slice of the node rate block
-        (what the node actually integrates) must equal it. It is then
+        ``_SegmentRates`` and the socket's entries of the node rate
+        vector (what the node actually integrates: its slice of the
+        rate block and its scalar rates) must equal it. It is then
         cross-checked
         against the scalar reference, so one sampled segment catches
         both failure modes: a rate-relevant mutation that skipped the
@@ -692,6 +654,13 @@ class Socket:
                 f"from a fresh recompute at epoch {self.epoch.value} "
                 f"(first at row {bad[0]}, core column {bad[1]}) — the "
                 "block was written outside a rate refresh")
+        if not np.array_equal(self._scalar_rates, fresh.scalars):
+            bad = np.argwhere(self._scalar_rates != fresh.scalars)[0]
+            raise EpochConsistencyError(
+                f"socket {self.socket_id}: the node rate vector diverges "
+                f"from a fresh recompute at epoch {self.epoch.value} "
+                f"(first at scalar entry {bad[0]}) — the vector was "
+                "written outside a rate refresh")
         if not np.array_equal(cached.res_rows, fresh.res_rows):
             raise EpochConsistencyError(
                 f"socket {self.socket_id}: cached c-state residency rows "

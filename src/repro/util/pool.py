@@ -107,6 +107,11 @@ class SupervisedPool:
             proc.kill()
         for proc in processes:
             proc.join()
+            # join() returns early when the broken executor's own thread
+            # reaped the worker first; wait until it records the exit.
+            while proc.exitcode is None:
+                # repro-lint: disable=det-wallclock — harness-side wait for a worker's exit status; never enters simulator state
+                time.sleep(0.001)
 
     # ---- internals -------------------------------------------------------
 

@@ -140,6 +140,11 @@ class TestClaimGate:
     def test_chaos_run_checks_no_claims(self, stubbed, tmp_path):
         assert stubbed(5.0, "--strict", "--chaos", "1") == 0
         assert not (tmp_path / "EXPERIMENTS.md").exists()
+        # Chaos artifacts never overwrite the committed ones.
+        out = tmp_path / "output"
+        assert not list(out.glob("run_paper_?.txt"))
+        assert (out / "run_paper_a.chaos.txt").exists()
+        assert (out / "run_paper_b.chaos.txt").exists()
 
     def test_full_run_gates_but_writes_no_experiments_md(self, stubbed,
                                                          tmp_path):

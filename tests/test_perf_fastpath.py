@@ -211,7 +211,7 @@ def _run_scenario(fastpath: bool, drive=_mixed,
                                           c.cstate, c.avx_license)
         out[f"s{s.socket_id}-uncore"] = s.uncore.freq_hz
         out[f"s{s.socket_id}-rapl"] = {
-            d.name: s.rapl.true_energy_j(d) for d in s.rapl._energy_j}
+            d.name: s.rapl.true_energy_j(d) for d in s.rapl.domains}
         out[f"s{s.socket_id}-pkg"] = {
             p.name: s.package_residency_ns(p) for p in PackageCState}
     if sim.ledger is not None:

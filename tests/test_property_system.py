@@ -22,7 +22,7 @@ class TestSystemProperties:
            seed=st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
     def test_energy_counters_consistent(self, name, n, setting, seed):
-        """RAPL (measured backend) equals the true accumulators; AC
+        """Measured RAPL equals the true accumulators exactly; AC
         energy strictly exceeds the DC it feeds; TSC advances at the
         nominal rate on every core regardless of state."""
         sim = Simulator(seed=seed)
@@ -34,8 +34,11 @@ class TestSystemProperties:
 
         dc = 0.0
         for socket in node.sockets:
-            rapl_pkg = socket.rapl.true_energy_j(RaplDomain.PACKAGE)
-            assert rapl_pkg == pytest.approx(socket.energy_pkg_j, rel=1e-9)
+            rapl = socket.rapl
+            assert rapl.true_energy_j(RaplDomain.PACKAGE) \
+                == socket.energy_pkg_j
+            assert rapl.true_energy_j(RaplDomain.DRAM) \
+                == socket.energy_dram_j
             assert socket.energy_pkg_j >= 0.0
             dc += socket.energy_pkg_j + socket.energy_dram_j
         assert node.ac_energy_j > dc

@@ -132,19 +132,26 @@ class TestEpochChecker:
 
     def test_corrupted_node_rate_block_caught(self, sanitize_mode,
                                               monkeypatch):
-        """The node integrates its rate block, not the cached matrices.
+        """The node integrates its rate vector, not the cached rates.
 
-        A socket's slice of ``Node._rate_block`` written outside a rate
-        refresh leaves every ``_SegmentRates`` intact, so the sampled
-        check must compare the slice itself with the fresh recompute.
+        A socket's entries of ``Node._acc_rates`` (its slice of the
+        rate block, or its scalar rates in the tail) written outside a
+        rate refresh leave every ``_SegmentRates`` intact, so the
+        sampled check must compare the entries themselves with the
+        fresh recompute.
         """
         monkeypatch.setattr(sanitize, "EPOCH_CHECK_STRIDE", 1)
-        sim, node = build_haswell_node(seed=411)
-        node.run_workload([0], firestarter())
-        sim.run_for(ms(5))
-        node._rate_block[0, 0] += 1.0e6
-        with pytest.raises(EpochConsistencyError, match="rate block"):
+        cases = {"rate block": lambda node: node._rate_block[0, :1],
+                 "rate vector": lambda node: node.sockets[0]._scalar_rates}
+        for match, entries in cases.items():
+            sim, node = build_haswell_node(seed=411)
+            node.run_workload([0], firestarter())
             sim.run_for(ms(5))
+            corrupted = entries(node)
+            assert np.shares_memory(corrupted, node._acc_rates)
+            corrupted += 1.0e6
+            with pytest.raises(EpochConsistencyError, match=match):
+                sim.run_for(ms(5))
 
     def test_tick_heavy_field_bypass_caught_with_fastpath(
             self, sanitize_mode, monkeypatch):

@@ -76,7 +76,7 @@ def _state(sim: Simulator, node: Node) -> dict:
                 c.freq_hz, c.requested_hz, c.cstate, c.avx_license)
         out[f"s{s.socket_id}"] = (
             s.uncore.freq_hz,
-            {d.name: s.rapl.true_energy_j(d) for d in s.rapl._energy_j},
+            {d.name: s.rapl.true_energy_j(d) for d in s.rapl.domains},
             {p.name: s.package_residency_ns(p) for p in PackageCState})
     out["ledger"] = [tuple(entry) for entry in sim.ledger.entries]
     return out

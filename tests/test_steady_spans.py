@@ -50,8 +50,8 @@ def _state(sim: Simulator, node: Node) -> dict:
         out[f"s{s.socket_id}"] = (
             s.uncore.counters.snapshot(), s.uncore.freq_hz,
             s.energy_pkg_j, s.energy_dram_j,
-            {d.name: rapl.true_energy_j(d) for d in rapl._energy_j},
-            {d.name: rapl.read_counter(d) for d in rapl._energy_j},
+            {d.name: rapl.true_energy_j(d) for d in rapl.domains},
+            {d.name: rapl.read_counter(d) for d in rapl.domains},
             {p.name: s.package_residency_ns(p) for p in PackageCState})
     for pcu in node.pcus:
         out[f"pcu{pcu.socket.socket_id}"] = (
@@ -98,14 +98,14 @@ def test_below_tdp_compute_noop_plan():
 
 
 def test_sandy_bridge_modeled_rapl():
-    """Modeled RAPL scales each segment's energy by the workload bias,
-    a second product the span's RAPL columns must repeat."""
+    """Modeled RAPL adds each segment's power times the workload bias,
+    a rate the span's accumulate must advance like the other entries."""
     def drive(sim, node):
         node.run_workload([0, 1, 2, 8], compute())
         sim.run_for(ms(150))
 
     node = _twins(drive, spec=SANDY_BRIDGE_TEST_NODE)
-    assert node.sockets[0]._rapl_biased
+    assert node.sockets[0].rapl.modeled
 
 
 def test_all_core_firestarter_grant_only_plan():

@@ -129,7 +129,7 @@ def _snapshot(node) -> dict:
                                           c.cstate, c.avx_license)
         out[f"s{s.socket_id}-energy"] = (s.energy_pkg_j, s.energy_dram_j)
         out[f"s{s.socket_id}-rapl"] = {
-            d.name: s.rapl.true_energy_j(d) for d in s.rapl._energy_j}
+            d.name: s.rapl.true_energy_j(d) for d in s.rapl.domains}
         out[f"s{s.socket_id}-pkg"] = {
             p.name: s.package_residency_ns(p) for p in PackageCState}
     return out
