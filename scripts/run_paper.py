@@ -45,9 +45,11 @@ flushed (``run_paper_report.partial.json``) and the process exits with
 the distinct code 75 so callers can tell "interrupted but resumable"
 from failure.
 
-Artifacts land in benchmarks/output/run_paper_<id>.txt (with
-``--chaos``, run_paper_<id>.chaos.txt). The full default
-suite (no ``--only``, ``--chaos`` or ``--full``) also writes the committed
+Artifacts land in benchmarks/output/run_paper_<id>.txt. ``--full``
+runs write run_paper_<id>.full.txt and ``--chaos`` runs
+run_paper_<id>.chaos.txt (both git-ignored), so neither overwrites the
+committed default-size artifacts. The full default suite (no
+``--only``, ``--chaos`` or ``--full``) also writes the committed
 run_paper_report.json with the per-experiment outcomes and, when every
 experiment succeeded, the paper-vs-measured EXPERIMENTS.md.
 """
@@ -266,11 +268,12 @@ def main() -> int:
     runner = ExperimentRunner(
         [ExperimentSpec(name=name, build=build, timeout_s=args.timeout)
          for name, build in experiments.items()],
-        # Chaos perturbs the results by design: its artifacts go to
-        # git-ignored names, never over the committed ones.
-        artifact_writer=(_artifact_writer if args.chaos is None else
-                         functools.partial(_artifact_writer,
-                                           suffix=".chaos")),
+        # Paper-size and chaos results are not the committed
+        # default-size artifacts: they go to git-ignored names.
+        artifact_writer=functools.partial(
+            _artifact_writer,
+            suffix=(".full" if args.full else "")
+            + ("" if args.chaos is None else ".chaos")),
         max_attempts=args.max_attempts,
         chaos_seed=args.chaos,
         chaos_profile=profile,

@@ -59,14 +59,23 @@ def enabled() -> bool:
 
 _SRC_ROOT = Path(__file__).resolve().parents[2]
 
+#: ``co_filename`` -> the repo-relative path :func:`_site_of` prints.
+#: Resolving a path costs several ``lstat`` calls; a ledgered run draws
+#: from a handful of files millions of times.
+_SITE_PATHS: dict[str, str] = {}
+
 
 def _site_of(frame) -> str:
     """``path:line`` of a draw site, repo-relative for stable ledgers."""
-    path = Path(frame.f_code.co_filename)
-    try:
-        rel = path.resolve().relative_to(_SRC_ROOT).as_posix()
-    except ValueError:
-        rel = path.name
+    filename = frame.f_code.co_filename
+    rel = _SITE_PATHS.get(filename)
+    if rel is None:
+        path = Path(filename)
+        try:
+            rel = path.resolve().relative_to(_SRC_ROOT).as_posix()
+        except ValueError:
+            rel = path.name
+        _SITE_PATHS[filename] = rel
     return f"{rel}:{frame.f_lineno}"
 
 
@@ -81,12 +90,13 @@ class DrawLedger:
     def __init__(self) -> None:
         self.entries: list[list] = []   # [site, method, count]
 
-    def record(self, site: str, method: str) -> None:
+    def record(self, site: str, method: str, count: int = 1) -> None:
+        """``count`` draws from ``site`` (as many single records)."""
         if self.entries and self.entries[-1][0] == site \
                 and self.entries[-1][1] == method:
-            self.entries[-1][2] += 1
+            self.entries[-1][2] += count
         else:
-            self.entries.append([site, method, 1])
+            self.entries.append([site, method, count])
 
     @property
     def total_draws(self) -> int:

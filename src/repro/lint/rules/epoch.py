@@ -22,17 +22,18 @@ and slow-path results. ``epoch-bypass`` flags:
 
 The same family polices the batched-RNG buffer: ``rng-batch-bypass``
 flags any access to :class:`repro.engine.rng.DrawBatch`'s private
-prefill state (``_prefill``, ``_prefill_args``, ``_prefill_cursor``)
-outside ``repro/engine/rng.py`` — as an attribute, or by a literal
-name through ``getattr``/``setattr``/``hasattr``/``delattr`` or
-``operator.attrgetter``. ``take()`` is the only sanctioned way to
-consume the buffer — it records the draw site in the sanitize ledger
-exactly like a direct generator call; reaching into the buffer
-consumes randomness invisibly, so a fastpath-on and fastpath-off run
-could agree on every final counter while having drawn differently.
-``ahead()`` is the only sanctioned read-ahead: a hand-made one can
-refill early or read past the block, and its values are then taken by
-nothing.
+prefill state (``_prefill``, ``_prefill_array``, ``_prefill_args``,
+``_prefill_cursor``) outside ``repro/engine/rng.py`` — as an
+attribute, or by a literal name through
+``getattr``/``setattr``/``hasattr``/``delattr`` or
+``operator.attrgetter``. ``take()`` and ``take_n()`` are the only
+sanctioned ways to consume the buffer — they record the draw site in
+the sanitize ledger exactly like direct generator calls; reaching into
+the buffer consumes randomness invisibly, so a fastpath-on and
+fastpath-off run could agree on every final counter while having drawn
+differently. ``block()`` is the only sanctioned read-ahead: a
+hand-made one can refill early or read past the block, and its values
+are then taken by nothing.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class EpochBypassRule(Rule):
 
 #: DrawBatch's private prefill state. Touching it outside the batch
 #: implementation bypasses take()'s draw-order accounting.
-BATCH_INTERNALS = frozenset({"_prefill", "_prefill_args",
-                             "_prefill_cursor"})
+BATCH_INTERNALS = frozenset({"_prefill", "_prefill_array",
+                             "_prefill_args", "_prefill_cursor"})
 
 #: The one module allowed to touch the prefill buffer.
 _RNG_MODULE_SUFFIX = "repro/engine/rng.py"
@@ -177,8 +178,9 @@ class RngBatchBypassRule(Rule):
     id = "rng-batch-bypass"
     description = ("direct access to the DrawBatch prefill buffer "
                    "bypasses draw-order accounting")
-    hint = ("consume batched draws through DrawBatch.take(); only "
-            "repro/engine/rng.py may touch the prefill state")
+    hint = ("consume batched draws through DrawBatch.take() or "
+            "take_n(); only repro/engine/rng.py may touch the prefill "
+            "state")
     node_types = (ast.Attribute, ast.Call)
 
     def begin_file(self, ctx: FileContext) -> Iterable[Finding]:

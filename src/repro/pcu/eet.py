@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.pcu.epb import Epb
 from repro.units import ghz
 
@@ -56,3 +58,15 @@ class EetController:
             if abs(trim - self._trim_hz) >= TRIM_EPSILON_HZ:
                 self._trim_hz = trim
         return self._trim_hz
+
+    def first_move(self, fractions: np.ndarray, epb: Epb) -> int:
+        """The index of the first of successive polls on ``fractions``
+        that would move the trim, or ``len(fractions)`` if none would:
+        :meth:`poll`'s test, elementwise. Until a poll moves it, the
+        trim every poll compares against is the current one."""
+        if not (self.enabled and len(fractions)):
+            return len(fractions)
+        moved = (np.abs(fractions * TRIM_SCALE_HZ[epb] - self._trim_hz)
+                 >= TRIM_EPSILON_HZ)
+        first = int(moved.argmax())
+        return first if moved[first] else len(fractions)

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.engine.rng import DrawBatch, spawn_rng
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.engine.simulator import Simulator
 from repro.pcu.avx import AvxUnit
 from repro.pcu.eet import EetController
@@ -128,6 +130,9 @@ class Pcu:
         self._steady_lo_hz = 0.0
         self._steady_hi_hz = 0.0
         self._steady_load_w = 0.0
+        # Steady spans: the tick delay sums of the current jitter block
+        # (Pcu.span_ticks).
+        self._span_sums: tuple = (None, None)
 
     # ---- lifecycle -------------------------------------------------------------
 
@@ -216,13 +221,24 @@ class Pcu:
         return delay if delay > 1 else 1
 
     def _next_tick_at(self, now_ns: int) -> int:
-        """The next tick's time: the one tick-jitter draw of a tick.
+        """The next tick's time after an event tick at ``now_ns``."""
+        return now_ns + self.tick_delay(self._tick_jitters(now_ns))
 
-        Every tick calls it once, after its control decision, whether
-        it fired as an event or inside a steady span.
+    def _tick_jitters(self, times_ns):
+        """The tick-jitter draws of the ticks at ``times_ns``.
+
+        The one jitter draw site: a tick fired as an event (``times_ns``
+        an ``int``) takes one draw, refilling as needed; a steady span's
+        ticks (an int64 array) take theirs at once with
+        :meth:`DrawBatch.take_n`, which never refills. Every tick takes
+        its draw here once, after its control decision, and a socket's
+        ticks arrive in tick order.
         """
-        return now_ns + self.tick_delay(
-            self._jitter_batch.take(*self._jitter_args))
+        take, take_n = self._jitter_batch.take, self._jitter_batch.take_n
+        args = self._jitter_args
+        single = type(times_ns) is int
+        # One line, so both forms record the same ledger site.
+        return take(*args) if single else take_n(len(times_ns), *args)
 
     # ---- the control decision ---------------------------------------------------------
 
@@ -336,6 +352,19 @@ class Pcu:
         return (abs(granted - self._steady_lo_hz) < threshold
                 and abs(granted - self._steady_hi_hz) < threshold)
 
+    def _grants_in_window(self, granted: np.ndarray) -> np.ndarray:
+        """:meth:`_grant_in_window` for an array of grants already capped
+        at the plan's target, elementwise.
+
+        Both differences are the same IEEE subtractions. Rounding is
+        monotone, so ``fl(g - hi) <= fl(g - lo)`` (``lo <= hi``), and
+        the two ``abs(.) < threshold`` tests reduce to the two outer
+        bounds.
+        """
+        threshold = self._APPLY_THRESHOLD_HZ
+        return ((granted - self._steady_lo_hz < threshold)
+                & (granted - self._steady_hi_hz > -threshold))
+
     def _plan_steady(self) -> str:
         """Classify the cached derivation for :meth:`_steady_tick`.
 
@@ -403,38 +432,95 @@ class Pcu:
                 return False
         return self._control_key() == self._ctrl_key
 
-    def span_draws(self) -> tuple[list[int], list[float] | None]:
-        """The tick-jitter draws and (grant-only plan) the dither draws
-        this PCU's next ticks will take without a refill."""
-        jitters = self._jitter_batch.ahead(*self._jitter_args)
-        if self._steady_plan is not _GRANT:
-            return jitters, None
-        return jitters, self.limiter.dither_ahead(self._dither_batch)
+    def span_ticks(self) -> tuple:
+        """What this PCU's next ticks can absorb without a refill.
 
-    def span_grant_ok(self, dither: float) -> bool:
-        """Whether a tick drawing ``dither`` keeps the grant-only plan
-        (the window test of :meth:`_steady_tick`)."""
-        return self._grant_in_window(
-            self.limiter.dithered(self._steady_point, dither))
+        Returns ``(jitters, sums, cursor, m, window)``: the tick-jitter
+        block and the cursor into it (:meth:`DrawBatch.block`), the
+        block's delay sums (``sums[k]`` is the total delay of its first
+        ``k`` ticks, so tick ``j`` of a span comes
+        ``sums[cursor + j] - sums[cursor]`` after the queued tick), the
+        number ``m`` of ticks that can run inside a span and whether
+        tick ``m`` stops it by leaving the grant window (otherwise by
+        the end of a draw block). Under a grant-only plan each tick
+        also takes a dither draw and runs only while its dithered grant
+        stays in the window of :meth:`_steady_tick`, tested on the
+        dither read-ahead at once. The delay sums are computed once per
+        jitter block.
+        """
+        jitters, cursor = self._jitter_batch.block(*self._jitter_args)
+        if self._span_sums[0] is not jitters:
+            sums = np.zeros(len(jitters) + 1, dtype=np.int64)
+            np.cumsum(self.tick_delays(jitters), out=sums[1:])
+            self._span_sums = (jitters, sums)
+        sums = self._span_sums[1]
+        m = len(jitters) - cursor
+        if self._steady_plan is not _GRANT or not m:
+            return jitters, sums, cursor, m, False
+        dithers, start = self._dither_batch.block(*self.limiter.DITHER_ARGS)
+        m = min(m, len(dithers) - start)
+        if m:
+            ok = self._grants_in_window(self.limiter.dithered_n(
+                self._steady_point, dithers[start:start + m],
+                self._steady_target_hz))
+            first = int(ok.argmin())
+            if not ok[first]:
+                return jitters, sums, cursor, first, True
+        return jitters, sums, cursor, m, False
 
-    def span_tick(self, now_ns: int) -> int:
-        """Commit one span-absorbed tick's draws, in the order and at
-        the sites a steady tick takes them; returns the next tick's
-        time."""
+    def tick_delays(self, jitters: np.ndarray) -> np.ndarray:
+        """:meth:`tick_delay` of each jitter draw (exact in int64)."""
+        return np.maximum(jitters + self._quantum_ns, 1)
+
+    @property
+    def tick_delay_min_ns(self) -> int:
+        """The shortest delay one jitter draw can give."""
+        return self.tick_delay(self._jitter_args[0])
+
+    def span_commit_ticks(self, times_ns: np.ndarray,
+                          jitters: np.ndarray) -> None:
+        """Take the draws of the span ticks at ``times_ns``, whose plan
+        read the tick jitters ``jitters``: per tick its dither draw
+        (grant-only plan) and its jitter draw. The node passes one tick
+        at a time when the draws are ledgered, so the ledger sees each
+        tick's draws in event order."""
         if self._steady_plan is _GRANT:
-            self.limiter.dither(self._steady_point, self._dither_batch)
-        return self._next_tick_at(now_ns)
+            self.limiter.take_dithers(self._dither_batch, len(times_ns))
+        if (self._tick_jitters(times_ns) != jitters).any():
+            raise SimulationError(
+                f"steady span at t={int(times_ns[0])} ns: the tick "
+                "jitter draws differ from the plan's read-ahead")
 
-    def span_eet_totals(self, states) -> list[list[float]]:
-        """The EET counter totals of each stacked node-block state."""
-        return self.socket.counter_totals(_EET_ROWS, states)
+    def span_eet_totals(self, states: np.ndarray) -> np.ndarray:
+        """The EET counter totals ``(cycles, stall)`` of each stacked
+        state of the node block's aperf and stall-cycle rows, shape
+        ``(k, 2, n_cores_total)``, as a ``(k, 2)`` array."""
+        return self.socket.counter_totals(slice(None), states)
 
-    def span_eet_poll(self, totals: list[float]) -> bool:
-        """Replay one span-absorbed EET poll on its counter totals;
-        whether it moved the trim (a control key input)."""
-        trim = self.eet.trim_hz
-        self._eet_sample(totals)
-        return self.eet.trim_hz != trim
+    def span_eet_replay(self, totals: np.ndarray) -> int:
+        """Replay span-absorbed EET polls on their ``(cycles, stall)``
+        counter totals, in order, without committing them: the index of
+        the first poll that moves the trim (a control key input), or
+        ``len(totals)``. Each poll's window and stall fraction are
+        :meth:`_eet_sample`'s, computed elementwise with the same IEEE
+        operations."""
+        d = totals - np.concatenate((
+            [(self._eet_last_cycles, self._eet_last_stall)], totals[:-1]))
+        d_cycles = d[:, 0]
+        if d_cycles.min() > 0:
+            fraction = d[:, 1] / d_cycles
+        else:
+            fraction = np.zeros(len(totals))
+            np.divide(d[:, 1], d_cycles, out=fraction, where=d_cycles > 0)
+        return self.eet.first_move(np.minimum(fraction, 1.0), self.epb)
+
+    def span_eet_commit(self, totals: np.ndarray) -> None:
+        """Commit the first ``len(totals)`` replayed polls. None but the
+        last can move the trim, so the window before the last poll is
+        restored and the last one runs as an ordinary poll."""
+        if len(totals) > 1:
+            self._eet_last_cycles, self._eet_last_stall = totals[-2].tolist()
+        self._eet_sample(totals[-1].tolist())
 
     def rearm_tick(self, time_ns: int, seq: int) -> None:
         """Queue the tick event at ``time_ns`` under a reserved ``seq``."""

@@ -59,6 +59,9 @@ class SolvedPoint:
 class TdpLimiter:
     """Computes frequency grants under the package power budget."""
 
+    #: The arguments of one dither draw, ``normal(*DITHER_ARGS)``.
+    DITHER_ARGS = (0.0, DITHER_SIGMA_HZ)
+
     def __init__(self, spec: CpuSpec, power_model: PowerModel,
                  budget_w: float | None = None) -> None:
         self.spec = spec
@@ -149,22 +152,34 @@ class TdpLimiter:
         # generator (tuning scripts, tests) draw directly. Same
         # distribution, same one-draw-per-decision ledger footprint.
         if isinstance(rng, DrawBatch):
-            dither = rng.take(0.0, DITHER_SIGMA_HZ)
+            dither = self.take_dithers(rng)
         else:
-            dither = float(rng.normal(0.0, DITHER_SIGMA_HZ))
+            dither = float(rng.normal(*self.DITHER_ARGS))
         return self.dithered(point, dither)
+
+    @staticmethod
+    def take_dithers(batch: DrawBatch, k: int | None = None):
+        """The dither draw site of a PCU's batch: one draw (``k`` None),
+        refilling as needed, or the next ``k`` at once, never refilling
+        (the ticks of a steady span, :meth:`DrawBatch.take_n`)."""
+        take, take_n = batch.take, batch.take_n
+        args = TdpLimiter.DITHER_ARGS
+        # One line, so both forms record the same ledger site.
+        return take(*args) if k is None else take_n(k, *args)
 
     def dithered(self, point: SolvedPoint, dither: float) -> float:
         """The grant of a TDP-bound ``point`` under one dither draw."""
         return min(max(point.core_hz + dither, self.spec.min_hz),
                    point.f_common_hz)
 
-    @staticmethod
-    def dither_ahead(batch: DrawBatch) -> list[float]:
-        """The dither draws ``batch`` holds for the next decisions
-        (:meth:`DrawBatch.ahead`); each one used is committed by a
-        :meth:`dither` call."""
-        return batch.ahead(0.0, DITHER_SIGMA_HZ)
+    def dithered_n(self, point: SolvedPoint, dithers: np.ndarray,
+                   cap_hz: float) -> np.ndarray:
+        """:meth:`dithered` for an array of draws, each grant then capped
+        at ``cap_hz``: the same IEEE operations, elementwise (two caps
+        in a row are one at the lower)."""
+        return np.minimum(np.maximum(point.core_hz + dithers,
+                                     self.spec.min_hz),
+                          min(point.f_common_hz, cap_hz))
 
     def grant(self, point: SolvedPoint, targets_hz: dict[int, float],
               rng: "np.random.Generator | DrawBatch | None" = None,

@@ -275,11 +275,12 @@ class Socket:
         value is bit-identical to the corresponding single-row call.
         ``states`` is a stack of node counter-block states, shape
         ``(k, n_fields, n_cores_total)`` (a steady span's EET replay):
-        the same reduce then yields one list of sums per state. By
-        default the live counters are read.
+        the same reduce then yields a ``(k, n_rows)`` array of sums. By
+        default the live counters are read, into a list.
         """
-        data = self._cnt_data if states is None else states[..., self._cols]
-        return np.add.reduce(data[..., rows, :], axis=-1).tolist()
+        if states is None:
+            return np.add.reduce(self._cnt_data[rows, :], axis=-1).tolist()
+        return np.add.reduce(states[..., self._cols][..., rows, :], axis=-1)
 
     # ---- bandwidth evaluation ------------------------------------------------------
 

@@ -150,3 +150,11 @@ class TestClaimGate:
                                                          tmp_path):
         assert stubbed(5.0, "--strict", "--full") == 1
         assert not (tmp_path / "EXPERIMENTS.md").exists()
+
+    def test_full_run_writes_full_artifacts(self, stubbed, tmp_path):
+        assert stubbed(2.0, "--full") == 0
+        # Paper-size artifacts never overwrite the committed ones.
+        out = tmp_path / "output"
+        assert not list(out.glob("run_paper_?.txt"))
+        assert (out / "run_paper_a.full.txt").exists()
+        assert (out / "run_paper_b.full.txt").exists()

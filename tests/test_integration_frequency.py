@@ -20,19 +20,21 @@ from tests.conftest import all_core_ids
 def tick_times(monkeypatch) -> tuple[Simulator, dict[int, list[int]]]:
     """A Haswell node whose PCU ticks are logged per socket.
 
-    The spy wraps the one jitter draw every tick takes
-    (``Pcu._next_tick_at``), whether it fires as an event or inside a
-    steady span. It is installed before the node is built, so even the
-    first tick each PCU schedules is recorded.
+    The spy wraps the one jitter draw site every tick takes
+    (``Pcu._tick_jitters``): one tick time when the tick fires as an
+    event, a socket's tick times in tick order when a steady span
+    absorbs them. It is installed before the node is built, so even
+    the first tick each PCU schedules is recorded.
     """
     times: dict[int, list[int]] = {0: [], 1: []}
-    next_tick = Pcu._next_tick_at
+    tick_jitters = Pcu._tick_jitters
 
-    def spy(pcu, now_ns):
-        times[pcu.socket.socket_id].append(now_ns)
-        return next_tick(pcu, now_ns)
+    def spy(pcu, times_ns):
+        times[pcu.socket.socket_id].extend(
+            [times_ns] if type(times_ns) is int else times_ns.tolist())
+        return tick_jitters(pcu, times_ns)
 
-    monkeypatch.setattr(Pcu, "_next_tick_at", spy)
+    monkeypatch.setattr(Pcu, "_tick_jitters", spy)
     sim = Simulator(seed=1234)
     build_node(sim, HASWELL_TEST_NODE)
     return sim, times

@@ -20,7 +20,12 @@ import numpy as np
 import pytest
 
 from repro.cstates.states import PackageCState
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import sanitize
 from repro.engine.rng import DRAW_BATCH_BLOCK, DrawBatch, make_rng
+from repro.errors import SimulationError
 from repro.engine.simulator import Simulator
 from repro.pcu.pcu import _EET_ROWS, Pcu
 from repro.specs.node import (HASWELL_TEST_NODE, SANDY_BRIDGE_TEST_NODE,
@@ -36,19 +41,22 @@ def tick_log(monkeypatch) -> list:
     derived)`` and every landed apply batch that moved a clock as
     ``("land", socket)``.
 
-    A tick is logged at its one jitter draw (``Pcu._next_tick_at``),
+    A tick is logged at its one jitter draw (``Pcu._tick_jitters``),
     which ticks run as events and ticks a steady span absorbs both
-    take; only an event tick can derive.
+    take: an event tick one draw, a span a socket's ticks in one call
+    (one tick per call when the draws are ledgered), so each socket's
+    ticks are logged in tick order. Only an event tick can derive.
     """
     log: list = []
-    next_tick, derive, finish = (Pcu._next_tick_at, Pcu._derive,
-                                 Pcu._finish_apply_batch)
+    tick_jitters, derive, finish = (Pcu._tick_jitters, Pcu._derive,
+                                    Pcu._finish_apply_batch)
 
-    def spy_next_tick(pcu, now_ns):
-        log.append(("tick", pcu.socket.socket_id,
-                    getattr(pcu, "_spy_derived", False)))
-        pcu._spy_derived = False
-        return next_tick(pcu, now_ns)
+    def spy_tick_jitters(pcu, times_ns):
+        for _ in range(1 if type(times_ns) is int else len(times_ns)):
+            log.append(("tick", pcu.socket.socket_id,
+                        getattr(pcu, "_spy_derived", False)))
+            pcu._spy_derived = False
+        return tick_jitters(pcu, times_ns)
 
     def spy_derive(pcu, key):
         pcu._spy_derived = True
@@ -60,7 +68,7 @@ def tick_log(monkeypatch) -> list:
         if before != [c.freq_hz for c in pcu.socket.cores]:
             log.append(("land", pcu.socket.socket_id))
 
-    monkeypatch.setattr(Pcu, "_next_tick_at", spy_next_tick)
+    monkeypatch.setattr(Pcu, "_tick_jitters", spy_tick_jitters)
     monkeypatch.setattr(Pcu, "_derive", spy_derive)
     monkeypatch.setattr(Pcu, "_finish_apply_batch", spy_finish)
     return log
@@ -205,3 +213,31 @@ class TestBitParity:
         taken = [batch.take(*args) for _ in range(n)]
         assert taken == [getattr(direct, method)(*args) for _ in range(n)]
         assert all(type(v) is scalar for v in taken)
+
+    @settings(max_examples=60, deadline=None)
+    @given(method=st.sampled_from(["integers", "normal"]),
+           block=st.integers(1, 40),
+           ks=st.lists(st.integers(0, 45), min_size=1, max_size=6))
+    def test_take_n_is_k_takes(self, method, block, ks):
+        """``take_n(k)`` hands out the values, advances the cursor and
+        records the ledger entries of ``k`` takes from its caller's
+        site, and refuses to run past the prefilled block."""
+        args = (-10_000, 10_001) if method == "integers" else (0.0, 5e6)
+        ledgers = [sanitize.DrawLedger(), sanitize.DrawLedger()]
+        takes, batched = (
+            DrawBatch(sanitize.wrap_rng(make_rng(7), ledger), method,
+                      block=block) for ledger in ledgers)
+        takes.take(*args), batched.take(*args)
+        for k in ks:
+            cursor = batched.block(*args)[1]
+            if k > block - cursor:
+                with pytest.raises(SimulationError):
+                    batched.take_n(k, *args)
+                assert batched.block(*args)[1] == cursor
+                continue
+            a = args
+            # One line, so both record the same site.
+            got, want = batched.take_n(k, *a).tolist(), [takes.take(*a) for _ in range(k)]
+            assert got == want
+            assert batched.block(*args)[1] == takes.block(*args)[1]
+        assert ledgers[0].entries == ledgers[1].entries

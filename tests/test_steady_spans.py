@@ -20,10 +20,11 @@ from repro.engine.trace import TraceRecorder
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, _pairs
 from repro.pcu.epb import Epb
-from repro.pcu.pcu import _EET_ROWS, Pcu
+from repro.pcu.pcu import _EET_ROWS, TICK_JITTER_NS, Pcu
 from repro.specs.node import (HASWELL_TEST_NODE, SANDY_BRIDGE_TEST_NODE,
-                              NodeSpec)
-from repro.system.node import Node, build_haswell_node, build_node
+                              WESTMERE_TEST_NODE, NodeSpec)
+from repro.system.node import (SPAN_MAX_EVENTS, Node, build_haswell_node,
+                               build_node)
 from repro.units import ghz, ms, seconds, us
 from repro.workloads.firestarter import firestarter
 from repro.workloads.base import Workload, WorkloadPhase
@@ -121,6 +122,7 @@ def test_all_core_firestarter_grant_only_plan():
     applies = node.sim.trace.records
     assert sum(1 for r in applies if r.time_ns > ms(100)) >= 3
     assert node.spans >= 3
+    assert node.span_ends["window"] > 0
 
 
 def _stall_flip() -> Workload:
@@ -138,15 +140,15 @@ def _stall_flip() -> Workload:
 def test_memory_bound_powersave_eet_trims(monkeypatch):
     """EPB powersave trims memory-bound phases; a replayed poll that
     moves a trim ends its span after that poll."""
-    moved = []
-    poll = Pcu.span_eet_poll
+    replays = []
+    replay = Pcu.span_eet_replay
 
     def spy(pcu, totals):
-        result = poll(pcu, totals)
-        moved.append(result)
-        return result
+        first = replay(pcu, totals)
+        replays.append((first, len(totals)))
+        return first
 
-    monkeypatch.setattr(Pcu, "span_eet_poll", spy)
+    monkeypatch.setattr(Pcu, "span_eet_replay", spy)
 
     def drive(sim, node):
         node.run_workload(list(range(4)), memory_read(node.spec.cpu))
@@ -156,8 +158,10 @@ def test_memory_bound_powersave_eet_trims(monkeypatch):
 
     node = _twins(drive, epb=Epb.POWERSAVE)
     assert all(pcu.eet.trim_hz > 0 for pcu in node.pcus)
-    assert any(moved), "no replayed poll moved a trim"
-    assert not all(moved)
+    assert any(first < n for first, n in replays), \
+        "no replayed poll moved a trim"
+    assert any(first > 0 for first, _ in replays)
+    assert node.span_ends["trim"] > 0
 
 
 def test_fault_episodes_land_mid_span():
@@ -196,7 +200,40 @@ def test_odd_run_for_chunks(drive_name):
         for chunk in chunks * 2:
             sim.run_for(chunk)
 
-    _twins(drive)
+    node = _twins(drive)
+    assert node.span_ends["horizon"] > 0
+
+
+@pytest.mark.parametrize("drive_name", ["compute", "firestarter"])
+def test_ticks_polls_and_refresh_share_timestamps(monkeypatch, drive_name):
+    """Jitter-free ticks re-armed onto the 1 ms grid of the EET polls and
+    the RAPL refresh: both ticks, both polls and the refresh fire at the
+    same instant every millisecond, and the merge must order them as
+    the queue would (queued seq first, then the re-arm of the earlier
+    firing)."""
+    settles = []
+    settle = Node._span_settle
+
+    def spy(*args):
+        settles.append(1)
+        return settle(*args)
+
+    monkeypatch.setattr(Node, "_span_settle", staticmethod(spy))
+
+    def drive(sim, node):
+        ids = list(range(12)) if drive_name == "firestarter" else [0, 1, 12]
+        node.run_workload(ids, firestarter() if drive_name == "firestarter"
+                          else compute())
+        # Socket 1's tick queued first: at every tie it fires first.
+        for pcu in reversed(node.pcus):
+            pcu.extra_tick_jitter_ns = -TICK_JITTER_NS
+            sim.queue.rearm(pcu.tick_event, ms(3), pcu._tick)
+        for chunk in (ms(61), us(250), ms(97) + 500, ms(140)):
+            sim.run_for(chunk)
+
+    node = _twins(drive)
+    assert node.span_events > 200
+    assert settles, "no merge needed settling"
 
 
 def test_conformance_recorder_sees_every_rapl_update():
@@ -259,6 +296,24 @@ def test_sanitizer_cadence_matches_span_free_run():
     assert all(checks > 0 for _, checks in counts)
 
 
+@pytest.mark.parametrize("spec", [HASWELL_TEST_NODE, SANDY_BRIDGE_TEST_NODE,
+                                  WESTMERE_TEST_NODE])
+def test_commit_reduce_matches_accumulate(spec):
+    """The commit sums a span's increments with ``np.add.reduce`` along
+    the rows; for the node's real column count and every row count a
+    span can have, that is the sequential sum ``np.add.accumulate``
+    forms (numpy sums pairwise only along a narrow reduced axis)."""
+    node = build_node(Simulator(seed=3), spec)
+    rng = np.random.default_rng(1905)
+    rows = SPAN_MAX_EVENTS + 1
+    inc = np.empty((rows, node._acc.size + 1))
+    inc[...] = (rng.standard_normal(inc.shape)
+                * 10.0 ** rng.integers(-12, 12, inc.shape))
+    running = np.add.accumulate(inc, axis=0)
+    for k in range(1, rows + 1):
+        assert np.array_equal(np.add.reduce(inc[:k], axis=0), running[k - 1])
+
+
 def test_stacked_eet_reduce_matches_live_reduce():
     """The replay reduces a stack of block states in one call; each
     state's sums equal the live reduce of that state bit for bit."""
@@ -269,7 +324,8 @@ def test_stacked_eet_reduce_matches_live_reduce():
     states = (rng.standard_normal(shape)
               * 10.0 ** rng.integers(-30, 30, shape))
     for pcu in node.pcus:
-        stacked = pcu.span_eet_totals(states)
+        stacked = pcu.span_eet_totals(states[:, _EET_ROWS])
         for k, state in enumerate(states):
             block[...] = state
-            assert stacked[k] == pcu.socket.counter_totals(_EET_ROWS)
+            assert (stacked[k].tolist()
+                    == pcu.socket.counter_totals(_EET_ROWS))
