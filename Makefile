@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint sanitize-smoke conformance coverage bench bench-simcore bench-check bench-full chaos chaos-smoke hostif-smoke fleet-smoke service-smoke experiments examples clean
+.PHONY: install test lint sanitize-smoke conformance coverage bench bench-simcore bench-check bench-full chaos chaos-smoke hostif-smoke fleet-smoke service-smoke experiments experiments-full examples clean
 
 # Minimum line-coverage percentage for the `coverage` gate.
 COVERAGE_FLOOR ?= 70
@@ -109,6 +109,12 @@ service-smoke:
 # and fails if an experiment hard-fails or a paper claim deviates.
 experiments:
 	$(PYTHON) scripts/run_paper.py --strict
+
+# Every paper table and figure at the paper's own size: rewrites the
+# committed run_paper_*.full.txt artifacts and fails if an experiment
+# hard-fails or a paper claim deviates (CI's paper-full job diffs them).
+experiments-full:
+	$(PYTHON) scripts/run_paper.py --full --strict
 
 examples:
 	@for script in examples/*.py; do \
