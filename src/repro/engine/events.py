@@ -106,15 +106,32 @@ class EventQueue:
 
     def head(self, exclude: tuple[Event, ...] = ()) -> tuple[int, int] | None:
         """``(time_ns, seq)`` of the first live event not in ``exclude``,
-        or None. Leaves the queue as it is."""
+        or None. Leaves the queue as it is.
+
+        A descent of the heap from its root: no entry sorts before its
+        parent, so the walk stops below a live entry that is not
+        excluded, and below any entry not before the best one found.
+        Only dead and excluded entries are looked through.
+        """
+        heap = self._heap
+        size = len(heap)
         best = None
-        for entry in self._heap:
-            event = entry[2]
-            if (event.cancelled or entry[1] != event.seq
-                    or event in exclude):
+        stack = [0] if size else []
+        while stack:
+            i = stack.pop()
+            entry = heap[i]
+            if best is not None and entry > best:
                 continue
-            if best is None or entry < best:
+            event = entry[2]
+            if not (event.cancelled or entry[1] != event.seq
+                    or event in exclude):
                 best = entry
+                continue
+            child = 2 * i + 1
+            if child + 1 < size:
+                stack.append(child + 1)
+            if child < size:
+                stack.append(child)
         return None if best is None else (best[0], best[1])
 
     def pop_next_until(self, t_ns: int) -> Event | None:

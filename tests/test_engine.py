@@ -1,6 +1,7 @@
 """Event queue and simulator core."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.events import EventQueue
 from repro.engine.rng import make_rng, spawn_rng, DEFAULT_SEED
@@ -66,6 +67,44 @@ class TestEventQueue:
         assert q.pop_next_until(10**9) is own
         assert q.pop_next_until(10**9) is other
         assert q.pop_next_until(10**9) is None
+
+
+def _head_by_scan(q: EventQueue, exclude) -> tuple[int, int] | None:
+    """The first live, not excluded entry, by a scan of every entry."""
+    live = [entry for entry in q._heap
+            if not (entry[2].cancelled or entry[1] != entry[2].seq
+                    or entry[2] in exclude)]
+    return min(live)[:2] if live else None
+
+
+# One queue operation: (kind, time, which event, exclude mask).
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["push", "push", "cancel", "rearm", "rearm", "pop"]),
+    st.integers(0, 40), st.integers(0, 1 << 16), st.integers(0, 1 << 16)),
+    min_size=1, max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS)
+def test_head_matches_a_scan_of_every_entry(ops):
+    """The pruned heap descent finds what a scan of every entry finds,
+    after any mix of pushes, cancels, re-arms and pops, whatever is
+    excluded."""
+    q = EventQueue()
+    events = []
+    for kind, time_ns, which, mask in ops:
+        if kind == "push" or not events:
+            events.append(q.push(time_ns, lambda t: None))
+        elif kind == "cancel":
+            events[which % len(events)].cancel()
+        elif kind == "rearm":
+            event = events[which % len(events)]
+            q.rearm(event, time_ns, event.action)
+        else:
+            q.pop_next_until(time_ns)
+        exclude = tuple(e for k, e in enumerate(events) if mask >> k & 1)
+        assert q.head(exclude) == _head_by_scan(q, exclude)
+        assert q.head() == _head_by_scan(q, ())
 
 
 class TestRearm:

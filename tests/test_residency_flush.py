@@ -13,15 +13,22 @@ import pytest
 
 from repro.cstates.states import CState
 from repro.instruments.residency import ResidencyReport
-from repro.system.node import build_haswell_node
-from repro.units import us
+from repro.system.node import SPAN_MIN_EVENTS, build_haswell_node
+from repro.units import ms, us
 from repro.workloads.base import Workload, WorkloadPhase
 from repro.workloads.firestarter import firestarter
 
 # Uneven read points: sub-tick, multi-tick and odd offsets, so reads
 # land mid-segment-run as well as right after operating-point changes.
+LONG_GAP_NS = us(5017)
 READ_GAPS_NS = [us(37), us(410), us(1000), us(3), us(2123), us(999),
-                us(61), us(5017), us(250), us(1), us(3333), us(777)]
+                us(61), LONG_GAP_NS, us(250), us(1), us(3333), us(777)]
+#: The periodic events per millisecond of the test node: four PCU ticks
+#: (two sockets at ~500 us), two EET polls and one RAPL refresh.
+PERIODIC_PER_MS = 7
+#: A read gap that fits a span of SPAN_MIN_EVENTS periodic events after
+#: the first steady tick, with a millisecond to spare on each side.
+SPAN_GAP_NS = ms(-(-SPAN_MIN_EVENTS // PERIODIC_PER_MS) + 2) + us(17)
 
 
 def _busy_c6() -> Workload:
@@ -111,10 +118,13 @@ def test_reads_match_fastpath_off_twin(drive):
 def test_reads_match_without_tally():
     """The node as the simulator's only integrator: steady spans absorb
     the periodic events between reads, and every read surface still
-    matches the fast-path-off twin."""
+    matches the fast-path-off twin. The long gap is sized from
+    SPAN_MIN_EVENTS, so a span fits between two reads whatever it is."""
+    gaps = [SPAN_GAP_NS if gap == LONG_GAP_NS else gap
+            for gap in READ_GAPS_NS]
     fast = _Twin(True, DRIVES["steady"](), tally=False)
     slow = _Twin(False, DRIVES["steady"](), tally=False)
-    for gap in READ_GAPS_NS * 3:
+    for gap in gaps * 3:
         fast.sim.run_for(gap)
         slow.sim.run_for(gap)
         a, b = fast.read(), slow.read()
