@@ -11,7 +11,8 @@ The grants are derived afresh only when an input moved; a tick whose
 inputs are unchanged replays the cached derivation (see
 :meth:`Pcu._steady_tick`). A grant this PCU applies is not such an
 input (except under tied uncore coupling): its landing refreshes the
-socket's rates but not the node epoch the derivation is keyed on.
+socket's rates but not the node epoch the derivation is keyed on, so a
+steady span can carry it (:meth:`Pcu.span_ticks`).
 """
 
 from __future__ import annotations
@@ -352,9 +353,11 @@ class Pcu:
         return (abs(granted - self._steady_lo_hz) < threshold
                 and abs(granted - self._steady_hi_hz) < threshold)
 
-    def _grants_in_window(self, granted: np.ndarray) -> np.ndarray:
+    def _grants_in_window(self, granted: np.ndarray, lo_hz: float,
+                          hi_hz: float) -> np.ndarray:
         """:meth:`_grant_in_window` for an array of grants already capped
-        at the plan's target, elementwise.
+        at the plan's target, elementwise, in the window of the slowest
+        and fastest active clock ``lo_hz`` and ``hi_hz``.
 
         Both differences are the same IEEE subtractions. Rounding is
         monotone, so ``fl(g - hi) <= fl(g - lo)`` (``lo <= hi``), and
@@ -362,8 +365,7 @@ class Pcu:
         bounds.
         """
         threshold = self._APPLY_THRESHOLD_HZ
-        return ((granted - self._steady_lo_hz < threshold)
-                & (granted - self._steady_hi_hz > -threshold))
+        return (granted - lo_hz < threshold) & (granted - hi_hz > -threshold)
 
     def _plan_steady(self) -> str:
         """Classify the cached derivation for :meth:`_steady_tick`.
@@ -435,18 +437,23 @@ class Pcu:
     def span_ticks(self) -> tuple:
         """What this PCU's next ticks can absorb without a refill.
 
-        Returns ``(jitters, sums, cursor, m, window)``: the tick-jitter
-        block and the cursor into it (:meth:`DrawBatch.block`), the
-        block's delay sums (``sums[k]`` is the total delay of its first
-        ``k`` ticks, so tick ``j`` of a span comes
-        ``sums[cursor + j] - sums[cursor]`` after the queued tick), the
-        number ``m`` of ticks that can run inside a span and whether
-        tick ``m`` stops it by leaving the grant window (otherwise by
-        the end of a draw block). Under a grant-only plan each tick
-        also takes a dither draw and runs only while its dithered grant
-        stays in the window of :meth:`_steady_tick`, tested on the
-        dither read-ahead at once. The delay sums are computed once per
-        jitter block.
+        Returns ``(jitters, sums, cursor, m, window, applies)``: the
+        tick-jitter block and the cursor into it
+        (:meth:`DrawBatch.block`), the block's delay sums (``sums[k]``
+        is the total delay of its first ``k`` ticks, so tick ``j`` of a
+        span comes ``sums[cursor + j] - sums[cursor]`` after the queued
+        tick), the number ``m`` of ticks that can run inside a span and
+        whether tick ``m`` stops it by leaving the grant window
+        (otherwise by the end of a draw block). Under a grant-only plan
+        each tick also takes a dither draw, and its dithered grant is
+        tested against the window of :meth:`_steady_tick` on the dither
+        read-ahead at once. A tick whose grant ``g`` leaves the window
+        applies it; while a span can carry the apply
+        (:meth:`_carries_apply`) the tick runs, joins ``applies`` as
+        ``(j, g)``, and its landing moves every active core to ``g``
+        before the next tick, whose re-classification makes the window
+        ``(g, g)``. The first apply a span cannot carry is tick ``m``.
+        The delay sums are computed once per jitter block.
         """
         jitters, cursor = self._jitter_batch.block(*self._jitter_args)
         if self._span_sums[0] is not jitters:
@@ -455,18 +462,48 @@ class Pcu:
             self._span_sums = (jitters, sums)
         sums = self._span_sums[1]
         m = len(jitters) - cursor
+        applies = []
         if self._steady_plan is not _GRANT or not m:
-            return jitters, sums, cursor, m, False
+            return jitters, sums, cursor, m, False, applies
         dithers, start = self._dither_batch.block(*self.limiter.DITHER_ARGS)
         m = min(m, len(dithers) - start)
-        if m:
-            ok = self._grants_in_window(self.limiter.dithered_n(
-                self._steady_point, dithers[start:start + m],
-                self._steady_target_hz))
+        granted = self.limiter.dithered_n(
+            self._steady_point, dithers[start:start + m],
+            self._steady_target_hz)
+        lo, hi = self._steady_lo_hz, self._steady_hi_hz
+        j = 0
+        while j < m:
+            ok = self._grants_in_window(granted[j:], lo, hi)
             first = int(ok.argmin())
-            if not ok[first]:
-                return jitters, sums, cursor, first, True
-        return jitters, sums, cursor, m, False
+            if ok[first]:
+                break
+            j += first
+            if not (applies or self._carries_apply()):
+                return jitters, sums, cursor, j, True, applies
+            lo = hi = granted[j].item()
+            applies.append((j, lo))
+            j += 1
+        return jitters, sums, cursor, m, False, applies
+
+    def _carries_apply(self) -> bool:
+        """Whether a steady span can carry this grant-only PCU's applies.
+
+        Every active core runs one clock, so an apply moves all of them
+        to the grant, onto one lane the socket's uniform rates serve;
+        the landing comes before the next tick and, outside tied
+        coupling, is no decision input; the uncore already runs at its
+        grant. A carried apply leaves all of this true.
+        """
+        spec = self.spec
+        socket = self.socket
+        uncore_hz = self._steady_point.uncore_hz
+        return (self._steady_lo_hz == self._steady_hi_hz
+                and spec.microarch.uncore_coupling != "tied"
+                and spec.pstate_switch_time_ns < self.tick_delay_min_ns
+                and (uncore_hz is None or socket.uncore.halted
+                     or self._clamp_uncore(uncore_hz)
+                     == socket.uncore.freq_hz)
+                and socket.landed_rates(self._steady_lo_hz) is not None)
 
     def tick_delays(self, jitters: np.ndarray) -> np.ndarray:
         """:meth:`tick_delay` of each jitter draw (exact in int64)."""
@@ -490,6 +527,28 @@ class Pcu:
             raise SimulationError(
                 f"steady span at t={int(times_ns[0])} ns: the tick "
                 "jitter draws differ from the plan's read-ahead")
+
+    def span_land(self, now_ns: int, grant_hz: float) -> None:
+        """Land a span-carried apply of ``grant_hz`` at ``now_ns``: the
+        apply batch its tick would have queued, every active core."""
+        targets = self._ctrl_decide_targets
+        self.land(now_ns, [(core, grant_hz) for core in self.socket.cores
+                           if core.core_id in targets])
+
+    def span_applied(self, grant_hz: float, window: tuple | None,
+                     settled: bool) -> None:
+        """Leave what a steady span's carried applies leave: the
+        decision of the last, which granted ``grant_hz``; the window
+        ``(g, load_w)`` of the last tick that re-classified the plan
+        after a landing, if any; and no plan unless that tick came after
+        the last landing (``settled``)."""
+        self.last_decision = self.limiter.grant_at(
+            self._steady_point, grant_hz, self._ctrl_decide_targets)
+        if window is not None:
+            self._steady_lo_hz = self._steady_hi_hz = window[0]
+            self._steady_load_w = window[1]
+        if not settled:
+            self._steady_plan = None
 
     def span_eet_totals(self, states: np.ndarray) -> np.ndarray:
         """The EET counter totals ``(cycles, stall)`` of each stacked
@@ -676,10 +735,6 @@ class Pcu:
         entry = self._apply_batches.pop(now_ns, None)
         if entry is None:
             return
-        trace = self.sim.trace
-        record = trace.wants("freq-apply")
-        source = f"pcu{self.socket.socket_id}" if record else ""
-        pending = self._pending_apply
         # A landed grant refreshes the socket's rates (socket epoch) but,
         # outside tied coupling, no decision input (node epoch): the
         # cached derivation stays valid. The steady plan is dropped, so
@@ -687,7 +742,16 @@ class Pcu:
         # replay plan would otherwise replay in full until the next
         # derivation).
         self._steady_plan = None
-        for core, f_hz in entry[1].values():
+        self.land(now_ns, entry[1].values())
+
+    def land(self, now_ns: int, grants) -> None:
+        """Move each core of ``grants``, ``(core, f_hz)`` pairs, to its
+        granted clock at ``now_ns`` (an apply batch landing)."""
+        trace = self.sim.trace
+        record = trace.wants("freq-apply")
+        source = f"pcu{self.socket.socket_id}" if record else ""
+        pending = self._pending_apply
+        for core, f_hz in grants:
             previous = core.freq_hz
             core.apply_frequency(f_hz)
             pending.pop(core.core_id, None)
