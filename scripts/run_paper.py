@@ -52,7 +52,8 @@ diffs them) and ``--chaos`` runs run_paper_<id>.chaos.txt
 artifacts. The full default suite (no
 ``--only``, ``--chaos`` or ``--full``) also writes the committed
 run_paper_report.json with the per-experiment outcomes and, when every
-experiment succeeded, the paper-vs-measured EXPERIMENTS.md.
+experiment succeeded, the paper-vs-measured EXPERIMENTS.md; a whole
+``--full`` suite writes the committed EXPERIMENTS_full.md.
 """
 
 from __future__ import annotations
@@ -337,9 +338,11 @@ def main() -> int:
     deviating = [c for c in claims if not c.ok]
     if claims:
         print(render_report(claims))
-        if canonical:
-            write_experiments_md(REPO / "EXPERIMENTS.md", claims)
-            print(f"claims -> {REPO / 'EXPERIMENTS.md'}")
+        # Claims mean the whole suite ran without chaos.
+        target = REPO / ("EXPERIMENTS_full.md" if args.full
+                         else "EXPERIMENTS.md")
+        write_experiments_md(target, claims, full=args.full)
+        print(f"claims -> {target}")
 
     if args.strict and report.hard_failures:
         print(f"STRICT: {len(report.hard_failures)} hard failure(s)",

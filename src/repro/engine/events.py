@@ -106,7 +106,13 @@ class EventQueue:
 
     def head(self, exclude: tuple[Event, ...] = ()) -> tuple[int, int] | None:
         """``(time_ns, seq)`` of the first live event not in ``exclude``,
-        or None. Leaves the queue as it is.
+        or None. Leaves the queue as it is."""
+        entry = self.head_entry(exclude)
+        return None if entry is None else entry[:2]
+
+    def head_entry(self, exclude: tuple[Event, ...] = ()
+                   ) -> tuple[int, int, Event] | None:
+        """The heap entry ``(time_ns, seq, event)`` of :meth:`head`.
 
         A descent of the heap from its root: no entry sorts before its
         parent, so the walk stops below a live entry that is not
@@ -132,7 +138,7 @@ class EventQueue:
                 stack.append(child + 1)
             if child < size:
                 stack.append(child)
-        return None if best is None else (best[0], best[1])
+        return best
 
     def pop_next_until(self, t_ns: int) -> Event | None:
         """Pop the next live event firing at or before ``t_ns``.

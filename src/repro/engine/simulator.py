@@ -128,6 +128,10 @@ class Simulator:
         if not hooks:
             del self._fault_hooks[point]
 
+    def has_fault_hooks(self, point: str) -> bool:
+        """Whether any hook is registered at ``point``."""
+        return point in self._fault_hooks
+
     def fire_fault_hooks(self, point: str, **context: Any) -> list[Any]:
         """Run the hooks of ``point``; returns the non-None directives."""
         hooks = self._fault_hooks.get(point)

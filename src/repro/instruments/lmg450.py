@@ -48,21 +48,21 @@ class Lmg450:
         period = seconds(1.0 / SAMPLE_RATE_HZ)
         self._task = self.sim.schedule_every(period, self._sample,
                                              label="lmg450-sample")
+        # A sample only reads the node's AC energy: steady spans absorb
+        # the samples while no fault hook intercepts them.
+        self.node.add_span_reader(self._task, self._samples,
+                                  fault_point="lmg450-sample")
 
     def stop(self) -> None:
         if self._task is not None:
+            self.node.remove_span_reader(self._task)
             self._task.stop()
             self._task = None
 
     def _sample(self, now_ns: int) -> None:
-        dt_s = (now_ns - self._last_time_ns) / NS_PER_S
-        if dt_s <= 0:
+        value = self._record(now_ns, self.node.ac_energy_j)
+        if value is None:
             return
-        true = (self.node.ac_energy_j - self._last_energy_j) / dt_s
-        self._last_energy_j = self.node.ac_energy_j
-        self._last_time_ns = now_ns
-        sigma = (ACCURACY_RELATIVE * true + ACCURACY_ABSOLUTE_W) / 3.0
-        value = true + float(self.rng.normal(0.0, sigma))
         # Fault hooks model real meter misbehaviour: sample dropouts
         # (value never reaches the logger) and out-of-envelope glitches.
         for directive in self.sim.fire_fault_hooks(
@@ -74,6 +74,28 @@ class Lmg450:
                 value = float(directive["watts"])
         self.times_ns.append(now_ns)
         self.watts.append(value)
+
+    def _samples(self, times_ns: list[int], energies_j: list[float]) -> None:
+        """The samples a steady span absorbed, in order: each firing's
+        time and the node's AC energy then (no fault hook is
+        registered)."""
+        for now_ns, energy_j in zip(times_ns, energies_j):
+            value = self._record(now_ns, energy_j)
+            if value is not None:
+                self.times_ns.append(now_ns)
+                self.watts.append(value)
+
+    def _record(self, now_ns: int, energy_j: float) -> float | None:
+        """The noisy mean power since the last sample, with the node's
+        AC energy at ``energy_j`` at ``now_ns`` (None: no time passed)."""
+        dt_s = (now_ns - self._last_time_ns) / NS_PER_S
+        if dt_s <= 0:
+            return None
+        true = (energy_j - self._last_energy_j) / dt_s
+        self._last_energy_j = energy_j
+        self._last_time_ns = now_ns
+        sigma = (ACCURACY_RELATIVE * true + ACCURACY_ABSOLUTE_W) / 3.0
+        return true + float(self.rng.normal(0.0, sigma))
 
     # ---- analysis views -------------------------------------------------------
 

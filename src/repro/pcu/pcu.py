@@ -437,8 +437,8 @@ class Pcu:
     def span_ticks(self) -> tuple:
         """What this PCU's next ticks can absorb without a refill.
 
-        Returns ``(jitters, sums, cursor, m, window, applies)``: the
-        tick-jitter block and the cursor into it
+        Returns ``(jitters, sums, cursor, m, window, applies, lane)``:
+        the tick-jitter block and the cursor into it
         (:meth:`DrawBatch.block`), the block's delay sums (``sums[k]``
         is the total delay of its first ``k`` ticks, so tick ``j`` of a
         span comes ``sums[cursor + j] - sums[cursor]`` after the queued
@@ -453,7 +453,9 @@ class Pcu:
         ``(j, g)``, and its landing moves every active core to ``g``
         before the next tick, whose re-classification makes the window
         ``(g, g)``. The first apply a span cannot carry is tick ``m``.
-        The delay sums are computed once per jitter block.
+        ``lane`` is the socket's landed lane
+        (:meth:`Socket.landed_lane`) when ``applies`` is not empty. The
+        delay sums are computed once per jitter block.
         """
         jitters, cursor = self._jitter_batch.block(*self._jitter_args)
         if self._span_sums[0] is not jitters:
@@ -463,8 +465,9 @@ class Pcu:
         sums = self._span_sums[1]
         m = len(jitters) - cursor
         applies = []
+        lane = None
         if self._steady_plan is not _GRANT or not m:
-            return jitters, sums, cursor, m, False, applies
+            return jitters, sums, cursor, m, False, applies, lane
         dithers, start = self._dither_batch.block(*self.limiter.DITHER_ARGS)
         m = min(m, len(dithers) - start)
         granted = self.limiter.dithered_n(
@@ -478,15 +481,16 @@ class Pcu:
             if ok[first]:
                 break
             j += first
-            if not (applies or self._carries_apply()):
-                return jitters, sums, cursor, j, True, applies
+            if not (lane or (lane := self._carries_apply())):
+                return jitters, sums, cursor, j, True, applies, lane
             lo = hi = granted[j].item()
             applies.append((j, lo))
             j += 1
-        return jitters, sums, cursor, m, False, applies
+        return jitters, sums, cursor, m, False, applies, lane
 
-    def _carries_apply(self) -> bool:
-        """Whether a steady span can carry this grant-only PCU's applies.
+    def _carries_apply(self) -> tuple | None:
+        """The socket's landed lane (:meth:`Socket.landed_lane`) when a
+        steady span can carry this grant-only PCU's applies, else None.
 
         Every active core runs one clock, so an apply moves all of them
         to the grant, onto one lane the socket's uniform rates serve;
@@ -497,13 +501,14 @@ class Pcu:
         spec = self.spec
         socket = self.socket
         uncore_hz = self._steady_point.uncore_hz
-        return (self._steady_lo_hz == self._steady_hi_hz
+        if (self._steady_lo_hz == self._steady_hi_hz
                 and spec.microarch.uncore_coupling != "tied"
                 and spec.pstate_switch_time_ns < self.tick_delay_min_ns
                 and (uncore_hz is None or socket.uncore.halted
                      or self._clamp_uncore(uncore_hz)
-                     == socket.uncore.freq_hz)
-                and socket.landed_rates(self._steady_lo_hz) is not None)
+                     == socket.uncore.freq_hz)):
+            return socket.landed_lane()
+        return None
 
     def tick_delays(self, jitters: np.ndarray) -> np.ndarray:
         """:meth:`tick_delay` of each jitter draw (exact in int64)."""

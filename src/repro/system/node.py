@@ -11,13 +11,15 @@ software-visible control interfaces (cpufreq-like p-state requests,
 EPB, workload placement).
 
 Steady spans (:meth:`Node.run_span`): while nothing but the periodic
-events — both PCUs' ticks, their EET polls and the RAPL refresh, and
-the landings of the grants a TDP-bound tick applies — would fire, and
-each of those would change nothing but draws, the MBVR state, the EET
-window, the visible RAPL energy and the clocks a landing moves, the
-node plans them in (time, seq) order, integrates all their segments
-with one sequential accumulate and commits them, each step as array
-operations bit-identical to one event and one segment at a time.
+events — both PCUs' ticks, their EET polls and the RAPL refresh, the
+samples of the instruments registered as span readers
+(:meth:`Node.add_span_reader`), and the landings of the grants a
+TDP-bound tick applies — would fire, and each of those would change
+nothing but draws, the MBVR state, the EET window, the visible RAPL
+energy, a reader's samples and the clocks a landing moves, the node
+plans them in (time, seq) order, integrates all their segments with one
+sequential accumulate and commits them, each step as array operations
+bit-identical to one event and one segment at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.units import NS_PER_S
 from repro.workloads.base import Workload
 
 #: The periodic events a steady span runs.
-_TICK, _POLL, _REFRESH = "tick", "poll", "refresh"
+_TICK, _POLL, _REFRESH, _READ = "tick", "poll", "refresh", "read"
 
 #: Shortest span worth its fixed cost: a span's plan, integrate, replay
 #: and commit are about a hundred array operations whatever its length,
@@ -75,33 +77,35 @@ _NO_KEYS = np.empty(0, dtype=np.int64)
 class _SpanTimer:
     """One periodic event of a steady span: its kind, the index of its
     PCU (ticks and polls), its re-armed :class:`Event`, its fixed
-    period (polls and refreshes) and its ``rearm(time_ns, seq)``."""
+    period (polls, refreshes and readers), its ``rearm(time_ns, seq)``
+    and a reader's ``on_samples`` (:meth:`Node.add_span_reader`)."""
 
-    __slots__ = ("kind", "pcu", "event", "period_ns", "rearm")
+    __slots__ = ("kind", "pcu", "event", "period_ns", "rearm", "read")
 
-    def __init__(self, kind, pcu, event, period_ns, rearm) -> None:
+    def __init__(self, kind, pcu, event, period_ns, rearm,
+                 read=None) -> None:
         self.kind = kind
         self.pcu = pcu
         self.event = event
         self.period_ns = period_ns
         self.rearm = rearm
+        self.read = read
 
 
 class _SpanApply:
     """A grant apply a span carries: the PCU's index, its tick's index
     among the PCU's span ticks and the grant; the places of the tick
-    and of the landing in the merge; the landed point's memo key and
-    segment rates (:meth:`Socket.landed_rates`)."""
+    and of the landing in the merge; the landed point's segment rates
+    (:meth:`Socket.landed_rates`)."""
 
-    __slots__ = ("pcu", "tick", "grant", "exit", "land", "key", "rates")
+    __slots__ = ("pcu", "tick", "grant", "exit", "land", "rates")
 
-    def __init__(self, pcu, tick, grant, exit, land, key, rates) -> None:
+    def __init__(self, pcu, tick, grant, exit, land, rates) -> None:
         self.pcu = pcu
         self.tick = tick
         self.grant = grant
         self.exit = exit
         self.land = land
-        self.key = key
         self.rates = rates
 
 
@@ -117,19 +121,20 @@ class _SpanPlan:
     ``i``), ``times[k]`` (ns after the span's start) and ``seg_of[k]``,
     the number of non-empty segments up to it, whose lengths are
     ``seg_ns``. Per PCU, ``ticks[p]`` holds the merge keys of its ticks
-    (one past the last that can run), the tick jitters they came from
-    and the applies :meth:`Pcu.span_ticks` found. ``applies`` lists the
-    planned applies in landing order. ``reason`` is why the plan
-    stopped.
+    (one past the last that can run), the tick jitters they came from,
+    the applies :meth:`Pcu.span_ticks` found and the socket's landed
+    lane (:meth:`Socket.landed_lane`). ``applies`` lists the planned
+    applies in landing order. ``reason`` is why the plan stopped, and
+    ``head`` the queue head's event when it stopped there.
     """
 
     __slots__ = ("n", "reason", "keys", "merged", "pos", "offsets",
                  "rank", "by_rank", "ranks", "times", "seg_of", "seg_ns",
-                 "ticks", "applies")
+                 "ticks", "applies", "head")
 
     def __init__(self, n, reason, keys, merged, pos, offsets, rank,
                  by_rank, ranks, times, seg_of, seg_ns, ticks,
-                 applies) -> None:
+                 applies, head) -> None:
         self.n = n
         self.reason = reason
         self.keys = keys
@@ -144,6 +149,7 @@ class _SpanPlan:
         self.seg_ns = seg_ns
         self.ticks = ticks
         self.applies = applies
+        self.head = head
 
 
 @dataclass
@@ -225,17 +231,22 @@ class Node:
             first_col += len(socket.cores)
             first = tail.stop
         # Steady spans: the periodic timers (collected on the first
-        # span, once every PCU and the RAPL refresh have started), how
-        # many spans ran, how many events they absorbed and how many
-        # grant applies they carried, and why each plan stopped (a
-        # count per SPAN_ENDS reason).
+        # span, once every PCU and the RAPL refresh have started, and
+        # again when a span reader comes, goes or gains or loses a fault
+        # hook), the registered readers, how many spans ran, how many
+        # events they absorbed and how many grant applies they carried,
+        # why each plan stopped (a count per SPAN_ENDS reason) and, of
+        # the spans the queue head ended, the head event's label.
         self.rapl_timer = None
         self._span_timers: list[_SpanTimer] | None = None
+        self._span_readers: list[tuple] = []
+        self._span_hooked: tuple[bool, ...] = ()
         self._span_short_until = 0
         self.spans = 0
         self.span_events = 0
         self.span_applies = 0
         self.span_ends: Counter = Counter()
+        self.span_heads: Counter = Counter()
 
     def set_fastpath(self, enabled: bool) -> None:
         """Toggle the steady-state fast path on every socket and PCU
@@ -498,7 +509,37 @@ class Node:
 
     # ---- steady spans ------------------------------------------------------------------------
 
+    def add_span_reader(self, task, on_samples,
+                        fault_point: str | None = None) -> None:
+        """Let steady spans absorb the firings of an instrument's
+        periodic timer.
+
+        ``task`` is a :class:`~repro.engine.simulator.RepeatingEvent`
+        whose action only reads the node's accumulated AC energy at its
+        firing time and takes its own draws; a span that absorbs
+        firings hands them to ``on_samples(times_ns, ac_energies_j)``,
+        two lists in event order (one firing per call when the draws
+        are ledgered). While a fault hook is registered at
+        ``fault_point`` the firings stay events, and a span ends at the
+        timer's head.
+        """
+        self._span_readers.append((task, on_samples, fault_point))
+        self._span_timers = None
+
+    def remove_span_reader(self, task) -> None:
+        """Fire ``task`` (:meth:`add_span_reader`) as events again."""
+        self._span_readers = [reader for reader in self._span_readers
+                              if reader[0] is not task]
+        self._span_timers = None
+
+    def _span_reader_hooks(self) -> tuple[bool, ...]:
+        """Per span reader, whether a fault hook holds its firings."""
+        has = self.sim.has_fault_hooks
+        return tuple(point is not None and has(point)
+                     for _, _, point in self._span_readers)
+
     def _collect_span_timers(self) -> list[_SpanTimer]:
+        self._span_short_until = 0
         timers = []
         for index, pcu in enumerate(self.pcus):
             timers.append(_SpanTimer(_TICK, index, pcu.tick_event, 0,
@@ -511,11 +552,20 @@ class Node:
         if refresh is not None:
             timers.append(_SpanTimer(_REFRESH, -1, refresh.event,
                                      refresh.period_ns, refresh.rearm))
+        self._span_hooked = self._span_reader_hooks()
+        for (task, on_samples, _), hooked in zip(self._span_readers,
+                                                 self._span_hooked):
+            if not hooked:
+                timers.append(_SpanTimer(_READ, -1, task.event,
+                                         task.period_ns, task.rearm,
+                                         on_samples))
         self._span_timers = timers
         self._span_ticks = [i for i, timer in enumerate(timers)
                             if timer.kind is _TICK]
         self._span_periodic = [i for i, timer in enumerate(timers)
                                if timer.kind is not _TICK]
+        self._span_reads = [i for i, timer in enumerate(timers)
+                            if timer.kind is _READ]
         # Each PCU's landings merge as one more candidate list.
         self._span_lands = [len(timers) + p for p in range(len(self.pcus))]
         # A merge key's tie rank takes its low bits: the periodic
@@ -526,13 +576,15 @@ class Node:
         self._span_tick_keys = [(None, None)] * len(self.pcus)
         # The accumulator entries a span reads before its end: the
         # aperf and stall-cycle rows of the counter block (its EET
-        # polls), then each RAPL bank's entries (its refreshes). A span
+        # polls), each RAPL bank's entries (its refreshes), then the AC
+        # energy after the accumulator vector (its readers). A span
         # keeps the running sums of these alone (_span_integrate).
         n_cores = self._cnt_block.shape[1]
         eet = [FIELD_ROW["aperf"], FIELD_ROW["stall_cycles"]]
         self._span_mid = np.concatenate(
             [np.arange(row * n_cores, (row + 1) * n_cores) for row in eet]
-            + [np.arange(e.start, e.stop) for e in self._rapl_entries])
+            + [np.arange(e.start, e.stop) for e in self._rapl_entries]
+            + [[self._acc.size]])
         self._span_mid_eet = (len(eet), n_cores)
         self._span_mid_rapl = []
         first = len(eet) * n_cores
@@ -540,6 +592,7 @@ class Node:
             size = entries.stop - entries.start
             self._span_mid_rapl.append(slice(first, first + size))
             first += size
+        self._span_mid_ac = first
         return timers
 
     def run_span(self, now_ns: int) -> None:
@@ -547,19 +600,19 @@ class Node:
 
         Called by a PCU after a steady tick at ``now_ns``. When both
         PCUs are span-ready (:meth:`Pcu.span_ready`), the node runs its
-        PCU ticks, EET polls and RAPL refresh directly, in (time, seq)
-        order, in three phases and a commit, each a handful of array
-        operations:
+        PCU ticks, EET polls, RAPL refresh and span readers directly, in
+        (time, seq) order, in three phases and a commit, each a handful
+        of array operations:
 
         1. *Plan* (:meth:`_span_plan`): each timer's firings as merge
            keys — tick times from the running sum of the tick delays
-           over the jitter read-ahead, polls and refreshes as arithmetic
-           progressions, and the landing of each grant apply a span can
-           carry (:meth:`Pcu.span_ticks`) — merged by one sort, up to
-           the first of the queue head, the ``run_until`` horizon, a
-           tick whose dithered grant leaves its window and whose apply
-           the span cannot carry, the end of a PCU's draw block and
-           ``SPAN_MAX_EVENTS``. A span holds an apply's tick only with
+           over the jitter read-ahead, polls, refreshes and readers as
+           arithmetic progressions, and the landing of each grant apply
+           a span can carry (:meth:`Pcu.span_ticks`) — merged by one
+           sort, up to the first of the queue head, the ``run_until``
+           horizon, a tick whose dithered grant leaves its window and
+           whose apply the span cannot carry, the end of a PCU's draw
+           block and ``SPAN_MAX_EVENTS``. A span holds an apply's tick only with
            its landing and a firing after it (:meth:`_span_cut`).
         2. *Integrate* (:meth:`_span_integrate`): each segment's
            ``rate * dt_s`` increments, with the same products as the
@@ -573,13 +626,15 @@ class Node:
         The commit (:meth:`_span_commit`) sums the increments in order
         into the final state (the sequential sum of the per-segment
         adds), latches each socket's RAPL energy as of the last refresh
-        (emitting every absorbed ``rapl-update`` when it is recorded)
-        and lands every carried apply in event order, commits the polls,
+        (emitting every absorbed ``rapl-update`` when it is recorded),
+        lands each socket's last carried apply (every one, in event
+        order, when ``freq-apply`` is recorded), commits the polls,
         takes each PCU's tick draws at once (:meth:`DrawBatch.take_n`),
-        leaves each PCU's decision and window as its applies did, makes
-        the last tick's MBVR selection, re-arms the timers under the
-        sequence numbers the events would have taken, and advances any
-        other integrator segment by segment. Another integrator must not
+        hands each reader its samples, leaves each PCU's decision and
+        window as its applies did, makes the last tick's MBVR
+        selection, re-arms the timers under the sequence numbers the
+        events would have taken, and advances any other integrator
+        segment by segment. Another integrator must not
         read the node's accumulators or the clocks a landing moves:
         during a span it sees their end state.
         """
@@ -622,14 +677,17 @@ class Node:
         any apply whose landing it does not hold (:meth:`_span_cut`).
         """
         sim = self.sim
-        timers = self._span_timers or self._collect_span_timers()
+        timers = self._span_timers
+        if timers is None or (self._span_readers and self._span_hooked
+                              != self._span_reader_hooks()):
+            timers = self._collect_span_timers()
         events = tuple(timer.event for timer in timers)
         for event in events:
             if event.cancelled:
                 return None
         limit = (sim.until_ns + 1, -1)
         reason = _HORIZON
-        head = sim.queue.head(events)
+        head = sim.queue.head_entry(events)
         if head is not None and head < limit:
             limit, reason = head, _HEAD
         # At most this many firings come before the limit: too few, and
@@ -642,13 +700,14 @@ class Node:
                     or self.pcus[timer.pcu].tick_delay_min_ns) + 1
         if most < SPAN_MIN_EVENTS:
             return self._span_short(limit[0])
-        # Tie ranks: the periodic timers by later queued time, then by
-        # seq; then each PCU's tick; then each PCU's landings.
+        # Tie ranks: the periodic timers by longer period, then by later
+        # queued time, then by seq; then each PCU's tick; then each
+        # PCU's landings.
         bits = self._span_bits
         rank = [0] * (len(timers) + len(self.pcus))
         by_rank = sorted(self._span_periodic, key=lambda i: (
-            -events[i].time_ns, events[i].seq)) + self._span_ticks \
-            + self._span_lands
+            -timers[i].period_ns, -events[i].time_ns, events[i].seq)) \
+            + self._span_ticks + self._span_lands
         for r, i in enumerate(by_rank):
             rank[i] = r
         horizon = min(limit[0], now_ns + (_SPAN_KEY_MAX >> bits))
@@ -656,7 +715,8 @@ class Node:
         # first that cannot run, and of its applies' landings.
         ticks = []
         for p, pcu in enumerate(self.pcus):
-            jitters, sums, cursor, m, window, applies = pcu.span_ticks()
+            jitters, sums, cursor, m, window, applies, lane = \
+                pcu.span_ticks()
             tick_rank = rank[self._span_ticks[p]]
             block, keys = self._span_tick_keys[p]
             if block is not sums:
@@ -670,7 +730,7 @@ class Node:
                     (pcu.spec.pstate_switch_time_ns << bits)
                     + rank[self._span_lands[p]] - tick_rank)
             ticks.append((keys, jitters[cursor:cursor + m], window,
-                          applies, lands))
+                          applies, lands, lane))
             stop = now_ns + (int(keys[m]) >> bits)
             if stop < horizon:
                 horizon = stop
@@ -688,7 +748,7 @@ class Node:
                 step = timer.period_ns << bits
                 parts.append(np.arange(first, first + c * step, step)
                               if c else _NO_KEYS)
-        for _, _, _, _, lands in ticks:
+        for _, _, _, _, lands, _ in ticks:
             parts.append(lands[:lands.searchsorted(end_key)])
         counts = [len(keys) for keys in parts]
         if sum(counts) < SPAN_MIN_EVENTS:
@@ -698,6 +758,9 @@ class Node:
         merged = np.sort(keys)
         exits, lands, carried = self._span_applies(ticks, counts, offsets,
                                                    keys, merged)
+        # Each rank's first candidate key, its queued firing (-1: none).
+        firsts = np.array([keys[offsets[i]] if counts[i] else -1
+                           for i in by_rank])
         pos = None
         while True:
             # The head's seq precedes every re-arm's, so at its time
@@ -708,7 +771,7 @@ class Node:
                          if e.time_ns == limit[0] and e.seq < limit[1])
             why = reason
             for p, i in enumerate(self._span_ticks):
-                tick_keys, jitters, window, _, _ = ticks[p]
+                tick_keys, jitters, window, _, _, _ = ticks[p]
                 if counts[i] == len(tick_keys):
                     flat = offsets[i] + len(jitters)
                     stop = int(pos[flat] if pos is not None
@@ -741,8 +804,9 @@ class Node:
             ranks = ahead & (1 << bits) - 1
             if (pos is not None
                     or np.count_nonzero(moved[1:]) == len(ahead) - 1
-                    or not self._span_ties_unsure(moved[1:], ranks,
-                                                  by_rank)):
+                    or not self._span_ties_unsure(
+                        moved[1:], ranks, by_rank,
+                        ahead == firsts[ranks])):
                 break
             queued = sorted(range(len(timers)), key=lambda i: events[i].seq)
             order = self._span_settle(keys, bits, offsets,
@@ -757,13 +821,14 @@ class Node:
             for (p, j, g), e, land in zip(carried, exit_at.tolist(),
                                           land_at.tolist()):
                 if e < n:
-                    key, rates = self.sockets[p].landed_rates(g)
-                    applies.append(_SpanApply(p, j, g, e, land, key, rates))
+                    rates = self.sockets[p].landed_rates(ticks[p][5], g)
+                    applies.append(_SpanApply(p, j, g, e, land, rates))
             applies.sort(key=lambda a: a.land)
         moved = moved[:n]
         return _SpanPlan(n, why, keys, merged, pos, offsets, rank, by_rank,
                          ranks[:n], ext[1:n + 1], moved.cumsum(),
-                         step[:n][moved], ticks, applies)
+                         step[:n][moved], ticks, applies,
+                         limit[2] if why is _HEAD else None)
 
     def _span_applies(self, ticks: list, counts: list[int],
                       offsets: list[int], keys: np.ndarray,
@@ -811,17 +876,25 @@ class Node:
         self._span_short_until = until_ns
 
     def _span_ties_unsure(self, moved: np.ndarray, ranks: np.ndarray,
-                          by_rank: list[int]) -> bool:
+                          by_rank: list[int], queued: np.ndarray) -> bool:
         """Whether the merge may have ordered two equal-time firings
-        wrongly: a tie is settled by the tie rank only between two
-        periodic timers of one period (see :meth:`_span_settle`).
-        ``moved[k]`` is whether firing ``k + 1`` comes later than
-        firing ``k``."""
+        wrongly. ``moved[k]`` is whether firing ``k + 1`` comes later
+        than firing ``k``, and ``queued[k]`` whether firing ``k`` is its
+        timer's queued event. The tie rank settles a tie between two
+        periodic timers of one period (see :meth:`_span_settle`), and
+        one between periodic timers of two periods unless the second is
+        queued: the first then has the longer period, and a re-arm at
+        the time of another sorts first when its parent fired earlier,
+        which the longer period's parent did (a queued firing sorts
+        before every re-arm). Any tie with a tick or a landing is
+        unsure."""
         timers = self._span_timers
         period = np.array([timers[i].period_ns if i < len(timers) else 0
                            for i in by_rank])[ranks]
+        first, second = period[:-1], period[1:]
         return bool(np.count_nonzero(~moved & (
-            (period[1:] == 0) | (period[1:] != period[:-1]))))
+            (first == 0) | (second == 0)
+            | ((second != first) & queued[1:]))))
 
     @staticmethod
     def _span_settle(keys: np.ndarray, bits: int, offsets: list[int],
@@ -956,12 +1029,22 @@ class Node:
         flats = [offset + c - 1 for offset, c in zip(plan.offsets, fired)]
         places = (plan.pos[flats] if plan.pos is not None
                   else plan.merged.searchsorted(plan.keys[flats])).tolist()
-        # The refreshes' latches and the landings, in event order: each
-        # landing moves its cores, and the segment after it refreshes
-        # the socket's rates (every landing has one, _span_cut).
+        # The refreshes' latches and the landings, in event order. The
+        # segment after each landing refreshes the socket's rates (every
+        # landing has one, _span_cut), so it is no epoch-check hit. Each
+        # landing moves the same cores and only the clocks differ, so
+        # only a socket's last landing moves them and refreshes its
+        # rates; with freq-apply recorded, every landing lands.
         applies = [a for a in plan.applies if a.exit < n_commit]
+        hits = [n_seg] * len(self.sockets)
+        last_land = {}
+        for a in applies:
+            hits[a.pcu] -= 1
+            last_land[a.pcu] = a
+        record_apply = sim.trace.wants("freq-apply")
         record = sim.trace.wants("rapl-update")
-        steps = [(a.land, a) for a in applies]
+        steps = [(a.land, a) for a in applies
+                 if record_apply or last_land[a.pcu] is a]
         for i in self._span_periodic:
             if timers[i].kind is _REFRESH and fired[i]:
                 at = (np.flatnonzero(ranks == plan.rank[i]).tolist()
@@ -969,17 +1052,18 @@ class Node:
                 steps += [(k, None) for k in at]
         steps.sort(key=lambda step: step[0])
         any_active = self._active_counter[0] > 0
-        hits = [n_seg] * len(self.sockets)
         settled_ns = now_ns
         for k, apply in steps:
             at_ns = now_ns + int(plan.times[k])
             if apply is not None:
-                pcus[apply.pcu].span_land(at_ns, apply.grant)
-                self._res_pending_ns += at_ns - settled_ns
-                settled_ns = at_ns
-                self.sockets[apply.pcu].adopt_landed(apply.key, apply.rates,
-                                                     any_active)
-                hits[apply.pcu] -= 1
+                p = apply.pcu
+                pcus[p].span_land(at_ns, apply.grant)
+                if last_land[p] is apply:
+                    self._res_pending_ns += at_ns - settled_ns
+                    settled_ns = at_ns
+                    self.sockets[p].adopt_landed(
+                        plan.ticks[p][5], apply.grant, apply.rates,
+                        any_active)
                 continue
             row = mid[plan.seg_of[k]]
             for s, entries in zip(self.sockets, self._span_mid_rapl):
@@ -995,8 +1079,9 @@ class Node:
             if c:
                 pcu.span_eet_commit(totals[:c])
 
-        # Each PCU's tick draws at once. A ledger records sites in
-        # event order, so ledgered draws go one tick at a time.
+        # Each PCU's tick draws and each reader's samples at once. A
+        # ledger records sites in event order, so ledgered draws go one
+        # firing at a time.
         bits = self._span_bits
         tick_times = [(tick[0][:fired[i] + 1] >> bits) + now_ns
                       for tick, i in zip(plan.ticks, self._span_ticks)]
@@ -1005,16 +1090,24 @@ class Node:
                 if fired[i]:
                     pcus[p].span_commit_ticks(tick_times[p][:fired[i]],
                                               plan.ticks[p][1][:fired[i]])
+            for i in self._span_reads:
+                if fired[i]:
+                    self._span_read(now_ns, plan, mid, timers[i],
+                                    np.flatnonzero(ranks == plan.rank[i]))
         else:
             taken = [0] * len(pcus)
-            for r in ranks.tolist():
+            for k, r in enumerate(ranks.tolist()):
                 i = plan.by_rank[r]
-                if i < len(timers) and timers[i].kind is _TICK:
+                kind = timers[i].kind if i < len(timers) else None
+                if kind is _TICK:
                     p = timers[i].pcu
-                    k = taken[p]
-                    pcus[p].span_commit_ticks(tick_times[p][k:k + 1],
-                                              plan.ticks[p][1][k:k + 1])
-                    taken[p] = k + 1
+                    j = taken[p]
+                    pcus[p].span_commit_ticks(tick_times[p][j:j + 1],
+                                              plan.ticks[p][1][j:j + 1])
+                    taken[p] = j + 1
+                elif kind is _READ:
+                    self._span_read(now_ns, plan, mid, timers[i],
+                                    slice(k, k + 1))
 
         # Each PCU with carried applies: the last one's decision, and
         # the window of the last tick after a landing.
@@ -1062,7 +1155,17 @@ class Node:
         self.spans += 1
         self.span_events += n_commit
         self.span_applies += len(applies)
-        self.span_ends[_TRIM if n_commit < plan.n else plan.reason] += 1
+        end = _TRIM if n_commit < plan.n else plan.reason
+        self.span_ends[end] += 1
+        if end is _HEAD:
+            self.span_heads[plan.head.label] += 1
+
+    def _span_read(self, now_ns: int, plan: _SpanPlan, mid: np.ndarray,
+                   timer: _SpanTimer, at) -> None:
+        """Hand a span reader its firings ``at`` (planned event indices):
+        their times and the AC energy accumulated up to each."""
+        timer.read((plan.times[at] + now_ns).tolist(),
+                   mid[plan.seg_of[at], self._span_mid_ac].tolist())
 
     # ---- human-readable state dump ---------------------------------------------
 

@@ -581,22 +581,42 @@ class Socket:
         self._scalar_rates[...] = rates.scalars
         return rates
 
-    def landed_rates(self, f_hz: float) -> tuple | None:
-        """``(key, rates)`` of this operating point with every active
-        core's clock at ``f_hz``, where a landed grant leaves them: the
-        memo key and the segment rates the first segment after the
-        landing would compute. None when the active cores run on more
-        than one lane (a mixed point's rates read the live cores).
-        Reads the memo without filling it."""
+    def landed_lane(self) -> tuple | None:
+        """What a landed grant leaves of this operating point besides
+        the active cores' one clock, gathered once for every landing of
+        a steady span: ``(key, res_rows, cols, lane)``, the memo key
+        (:meth:`_gather_key`), the residency rows, the active core
+        columns and their shared ``(phase, threads, throttle)``. None
+        when no core is active or the active cores differ in more than
+        their clocks (a mixed point's rates read the live cores)."""
         key = self._gather_key()
-        parts = tuple([(f_hz,) + part[1:] if type(part) is tuple else part
-                       for part in key[2:]])
-        if len({part for part in parts if type(part) is tuple}) > 1:
+        res_list: list[int] = []
+        cols: list[int] = []
+        lane = None
+        for j, part in enumerate(key[2:]):
+            if type(part) is tuple:
+                res_list.append(_C0_RES_ROW)
+                cols.append(j)
+                if lane is None:
+                    lane = part[1:]
+                elif part[1:] != lane:
+                    return None
+            else:
+                res_list.append(CSTATE_ROW[part])
+        if lane is None:
             return None
-        key = key[:2] + parts
-        rates = self._rates_memo.get(key)
-        return key, (rates if rates is not None
-                     else self._rates_from_key(key))
+        res_rows = np.array(res_list, dtype=np.intp)
+        res_rows.flags.writeable = False     # shared by every landing
+        return key, res_rows, cols, lane
+
+    def landed_rates(self, lane: tuple, f_hz: float) -> "_SegmentRates":
+        """The segment rates of :meth:`landed_lane`'s point with every
+        active core's clock at ``f_hz``: what the first segment after
+        the landing computes (a memo hit holds the same rates)."""
+        key, res_rows, cols, (phase, nthr, exec_throttle) = lane
+        return self._uniform_rates(
+            self._matrix_template.copy(), res_rows, cols,
+            (f_hz, phase, max(nthr, 1), exec_throttle), key[0], key[1])
 
     def integrate(self, dt_ns: int, any_active_in_system: bool) -> None:
         """This socket's share of one node segment of ``dt_ns`` (> 0).
@@ -629,14 +649,18 @@ class Socket:
         self.last_breakdown = rates.breakdown
         self._residency_pkg_ns[self.package_cstate] += dt_ns
 
-    def adopt_landed(self, key: tuple, rates: "_SegmentRates",
+    def adopt_landed(self, lane: tuple, f_hz: float,
+                     rates: "_SegmentRates",
                      any_active_in_system: bool) -> None:
-        """What the first segment after a steady span's landed grant
-        does before it integrates (:meth:`integrate`): the package-state
-        sync and the rate refresh to ``rates`` (:meth:`landed_rates`),
-        through the memo."""
+        """What the first segment after a steady span's landed grant of
+        ``f_hz`` does before it integrates (:meth:`integrate`): the
+        package-state sync and the rate refresh to ``rates``
+        (:meth:`landed_rates` of ``lane``), through the memo."""
         self.sync_package_state(any_active_in_system)
         self._sync_residency()
+        key = lane[0]
+        key = key[:2] + tuple([(f_hz,) + part[1:] if type(part) is tuple
+                               else part for part in key[2:]])
         hit = self._rates_memo.get(key)
         rates = self._adopt_rates(hit if hit is not None
                                   else self._memoize(key, rates))

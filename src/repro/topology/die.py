@@ -94,8 +94,47 @@ class Die:
     def dram_channels(self) -> int:
         return self.n_imcs * self.dram_channels_per_imc
 
+    def adjacency(self) -> dict[str, list[str]]:
+        """Each stop's neighbours: its ring neighbours either way round
+        its partition's cycle, and the stop a queue pair bridges it to
+        (the edges of :meth:`to_graph`)."""
+        adjacent: dict[str, list[str]] = {}
+
+        def link(a: str, b: str) -> None:
+            if b not in adjacent[a]:
+                adjacent[a].append(b)
+                adjacent[b].append(a)
+
+        for part in self.partitions:
+            stops = part.components
+            for stop in stops:
+                adjacent[stop.name] = []
+            for i, stop in enumerate(stops):
+                link(stop.name, stops[(i + 1) % len(stops)].name)
+        for a, b in self.queue_pairs:
+            link(a.name, b.name)
+        return adjacent
+
+    def hop_counts(self, src_name: str) -> dict[str, int]:
+        """Fewest ring/queue hops from ``src_name`` to every stop it
+        reaches (a breadth-first search of :meth:`adjacency`)."""
+        adjacent = self.adjacency()
+        hops = {src_name: 0}
+        frontier = [src_name]
+        while frontier:
+            following = []
+            for stop in frontier:
+                for other in adjacent[stop]:
+                    if other not in hops:
+                        hops[other] = hops[stop] + 1
+                        following.append(other)
+            frontier = following
+        return hops
+
     def to_graph(self) -> nx.Graph:
-        """The die as an undirected graph: ring edges + queue edges.
+        """The die as an undirected networkx graph: ring edges + queue
+        edges, for analysis and export (networkx loads on the first
+        call; the hop counts the model uses are :meth:`hop_counts`).
 
         Each partition's stops form a cycle (the bidirectional ring);
         queue pairs bridge partitions. Edge attribute ``kind`` is ``ring``

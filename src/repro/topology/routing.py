@@ -69,28 +69,23 @@ def average_core_l3_hops(die: Die) -> float:
     distance distribution is the L3 access distance distribution under
     the default address-hashed slice interleaving.
     """
-    import networkx as nx
-
-    graph = die.to_graph()
     cores = [c.name for c in die.enabled_cores]
-    lengths = dict(nx.all_pairs_shortest_path_length(graph))
     total = 0
     pairs = 0
     for a in cores:
+        lengths = die.hop_counts(a)
         for b in cores:
             if a != b:
-                total += lengths[a][b]
+                total += lengths[b]
                 pairs += 1
     return total / pairs if pairs else 0.0
 
 
 def average_core_imc_hops(die: Die) -> float:
     """Mean hop distance from an enabled core to its nearest IMC."""
-    import networkx as nx
-
-    graph = die.to_graph()
     imcs = [c.name for p in die.partitions for c in p.imcs]
-    lengths = dict(nx.all_pairs_shortest_path_length(graph))
-    dists = [min(lengths[c.name][imc] for imc in imcs)
-             for c in die.enabled_cores]
+    dists = []
+    for c in die.enabled_cores:
+        lengths = die.hop_counts(c.name)
+        dists.append(min(lengths[imc] for imc in imcs))
     return sum(dists) / len(dists) if dists else 0.0

@@ -151,6 +151,17 @@ class TestClaimGate:
         assert stubbed(5.0, "--strict", "--full") == 1
         assert not (tmp_path / "EXPERIMENTS.md").exists()
 
+    def test_full_run_writes_experiments_full_md(self, stubbed, tmp_path):
+        assert stubbed(2.0, "--strict", "--full") == 0
+        text = (tmp_path / "EXPERIMENTS_full.md").read_text()
+        assert "**1/1 claims reproduced**" in text
+        assert "`python scripts/run_paper.py --full`" in text
+        assert "the paper's own size" in text
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
+        assert stubbed(2.0, "--strict", "--full", "--only", "b") == 0
+        assert stubbed(2.0, "--strict", "--full", "--chaos", "1") == 0
+        assert text == (tmp_path / "EXPERIMENTS_full.md").read_text()
+
     def test_full_run_writes_full_artifacts(self, stubbed, tmp_path):
         assert stubbed(2.0, "--full") == 0
         # Paper-size artifacts never overwrite the committed ones.

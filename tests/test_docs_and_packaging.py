@@ -140,14 +140,21 @@ _RUN_PATHS = {
         f"spec = importlib.util.spec_from_file_location('run_paper', "
         f"{str(REPO / 'scripts' / 'run_paper.py')!r})\n"
         "spec.loader.exec_module(importlib.util.module_from_spec(spec))"),
+    # fig1's builder, the only one that reaches the die topology
+    "fig1's builder": (
+        "from repro.experiments.catalog import CATALOG\n"
+        "fig1 = CATALOG['fig1']\n"
+        "fig1.run(**fig1.default)"),
 }
 
 
 def test_run_paths_import_no_heavy_deps():
-    """No run path pays for scipy, networkx or pytest at start-up: the
-    Brent solve is ``repro.util.roots``, networkx loads inside the
-    topology functions that use it, and run_paper writes its artifacts
-    without the benchmark conftest."""
+    """No run path pays for scipy, networkx or pytest at start-up, and
+    fig1's builder not even while it runs: the Brent solve is
+    ``repro.util.roots``, the die's hop counts are a breadth-first
+    search (networkx loads only inside ``Die.to_graph`` and
+    ``ring_path``), and run_paper writes its artifacts without the
+    benchmark conftest."""
     import os
     import subprocess
     import sys

@@ -167,23 +167,28 @@ class TestLandedGrants:
 
     def test_carried_landings_rederive_on_neither_pcu(self, monkeypatch,
                                                       tick_log):
-        """Haswell (UFS) with spans: a landing a span carries leaves
+        """Haswell (UFS) with spans: the landings a span carries leave
         every PCU's control key at its cached derivation's, so the next
         tick would not derive even where it ran from the queue (span
-        ticks never derive, so the key is checked at each landing)."""
+        ticks never derive, and a span lands only a socket's last
+        carried grant, so the key is checked at each span commit that
+        carried landings)."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         steady_after: list = []
-        span_land = Pcu.span_land
+        commit = Node._span_commit
 
-        def spy_span_land(pcu, now_ns, grant_hz):
-            span_land(pcu, now_ns, grant_hz)
-            steady_after.append(all(p._control_key() == p._ctrl_key
-                                    for p in pcu.node.pcus))
+        def spy_commit(node, *args):
+            before = node.span_applies
+            commit(node, *args)
+            if node.span_applies > before:
+                steady_after.append((node.span_applies - before, all(
+                    p._control_key() == p._ctrl_key for p in node.pcus)))
 
-        monkeypatch.setattr(Pcu, "span_land", spy_span_land)
+        monkeypatch.setattr(Node, "_span_commit", spy_commit)
         _settled_window(HASWELL_TEST_NODE, tick_log)
-        assert len(steady_after) >= 3, "too few carried landings to judge"
-        assert all(steady_after), steady_after
+        assert sum(n for n, _ in steady_after) >= 3, \
+            "too few carried landings to judge"
+        assert all(ok for _, ok in steady_after), steady_after
 
     def test_tied_coupling_landing_rederives(self, monkeypatch, tick_log):
         """Sandy Bridge ties the uncore to the core clocks, so a landed

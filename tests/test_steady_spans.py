@@ -19,6 +19,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.trace import TraceRecorder
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, _pairs
+from repro.instruments.lmg450 import Lmg450
 from repro.pcu.epb import Epb
 from repro.pcu.pcu import _EET_ROWS, TICK_JITTER_NS, Pcu
 from repro.specs.node import (HASWELL_TEST_NODE, SANDY_BRIDGE_TEST_NODE,
@@ -521,3 +522,263 @@ def test_stacked_eet_reduce_matches_live_reduce():
             block[...] = state
             assert (stacked[k].tolist()
                     == pcu.socket.counter_totals(_EET_ROWS))
+
+
+# ---- instrument samples and collapsed landings ----------------------------
+
+
+def _spans_off_twins(monkeypatch, drive, *, trace=None, seed: int = 4242):
+    """Runs ``drive(sim, node)`` with spans on and with ``Node.run_span``
+    patched to a no-op (every event fires from the queue); asserts equal
+    states, ledgers and equal ``drive`` results, and returns the node
+    and result of the run with spans."""
+    runs = []
+    for spans in (True, False):
+        with monkeypatch.context() as patch:
+            if not spans:
+                patch.setattr(Node, "run_span", lambda self, now_ns: None)
+            sim = Simulator(seed=seed, trace=trace() if trace else None)
+            node = build_node(sim, HASWELL_TEST_NODE)
+            seen = drive(sim, node)
+            runs.append((_state(sim, node), seen, node))
+    (fast, fast_seen, node), (slow, slow_seen, off) = runs
+    assert fast["ledger"], "no RNG draws recorded"
+    mismatched = [k for k in fast if fast[k] != slow[k]]
+    assert not mismatched, f"steady spans diverged on {mismatched}"
+    assert fast_seen == slow_seen
+    assert off.span_events == 0
+    assert node.span_events > 0, "no span absorbed an event"
+    return node, fast_seen
+
+
+def _metered(meter: Lmg450) -> tuple:
+    event = meter._task.event if meter._task is not None else None
+    return (list(meter.times_ns), list(meter.watts),
+            None if event is None else (event.time_ns, event.seq))
+
+
+def _queue_samples(monkeypatch) -> list:
+    """Counts the meter samples fired from the queue."""
+    fired = []
+    sample = Lmg450._sample
+
+    def spy(meter, now_ns):
+        fired.append(now_ns)
+        sample(meter, now_ns)
+
+    monkeypatch.setattr(Lmg450, "_sample", spy)
+    return fired
+
+
+def test_meter_samples_inside_spans(monkeypatch):
+    """An LMG450 on a TDP-bound node: spans absorb its samples (each
+    reads the AC energy accumulated up to it) and carry applies; the
+    samples, the meter's timer and the node equal a span-free run's."""
+    fired = _queue_samples(monkeypatch)
+
+    def drive(sim, node):
+        _firestarter_turbo(sim, node)
+        sim.run_for(ms(20))
+        meter = Lmg450(sim, node)
+        meter.start()
+        sim.run_for(ms(600))
+        return _metered(meter)
+
+    node, (times, watts, _) = _spans_off_twins(monkeypatch, drive)
+    # ``fired`` holds both runs' queued samples, all of the span-free
+    # run's among them.
+    absorbed = 2 * len(times) - len(fired)
+    assert len(times) == 12 and absorbed >= 8, (len(times), len(fired))
+    assert node.span_applies >= 3
+    assert "lmg450-sample" not in node.span_heads
+    assert not node.span_ends["head"]
+
+
+def test_meter_stop_and_start_mid_run(monkeypatch):
+    """Stopping the meter unregisters its samples, starting it again
+    registers them anew: spans before, between and after match."""
+    def drive(sim, node):
+        node.run_workload(list(range(6)), compute())
+        node.set_pstate(list(range(6)), ghz(2.0))
+        meter = Lmg450(sim, node)
+        meter.start()
+        sim.run_for(ms(230) + 17)
+        meter.stop()
+        stopped = _metered(meter)
+        sim.run_for(ms(120))
+        meter.start()
+        sim.run_for(ms(310) + 3)
+        return stopped, _metered(meter), len(node._span_readers)
+
+    node, (stopped, metered, readers) = _spans_off_twins(monkeypatch, drive)
+    assert readers == 1 and len(stopped[0]) == 4
+    assert len(metered[0]) == 4 + 6
+    assert node.span_events > 1000
+
+
+def test_meter_hook_keeps_samples_events(monkeypatch):
+    """While a fault hook is registered on ``lmg450-sample``, a span ends
+    at the meter's head and the sample fires (and may be dropped) from
+    the queue; once the hook is removed, spans absorb samples again."""
+    heads = []
+
+    def drive(sim, node):
+        node.run_workload(list(range(4)), compute())
+        meter = Lmg450(sim, node)
+        meter.start()
+        sim.run_for(ms(160))
+        heads.append(node.span_heads["lmg450-sample"])
+
+        def drop_odd(time_ns, watts):
+            return {"action": "drop"} if time_ns // ms(50) % 2 else None
+
+        sim.add_fault_hook("lmg450-sample", drop_odd)
+        sim.run_for(ms(400))
+        heads.append(node.span_heads["lmg450-sample"])
+        sim.remove_fault_hook("lmg450-sample", drop_odd)
+        sim.run_for(ms(400))
+        heads.append(node.span_heads["lmg450-sample"])
+        return _metered(meter)
+
+    node, metered = _spans_off_twins(monkeypatch, drive)
+    # The hook dropped every odd sample while it was registered.
+    assert len(metered[0]) == 3 + 4 + 8
+    before, hooked, after = heads[:3]
+    assert before == 0 and hooked >= 6 and after == hooked
+    assert node.span_ends["head"] >= hooked
+
+
+def _grid_meter(sim: Simulator, node: Node, *, ticks: bool) -> tuple:
+    """A meter started on the millisecond: every sample ties with both
+    EET polls and the RAPL refresh (and, with jitter-free ticks re-armed
+    onto the grid, with both ticks)."""
+    _firestarter_turbo(sim, node)
+    if ticks:
+        for pcu in reversed(node.pcus):
+            pcu.extra_tick_jitter_ns = -TICK_JITTER_NS
+            sim.queue.rearm(pcu.tick_event, ms(3), pcu._tick)
+    sim.run_for(ms(7))
+    meter = Lmg450(sim, node)
+    meter.start()
+    for chunk in (ms(180) + 250, ms(97), ms(301)):
+        sim.run_for(chunk)
+    return _metered(meter)
+
+
+@pytest.mark.parametrize("ticks", [False, True])
+def test_meter_samples_tied_with_refresh(monkeypatch, ticks):
+    """Samples on the millisecond grid tie with the polls and the
+    refresh. The tie rank orders a re-armed sample first (its parent
+    fired 50 ms earlier, the others' 1 ms earlier) and every order it
+    trusts equals the exact settle's; ties with ticks are settled."""
+    tied = {True: 0, False: 0}     # tied samples, by settled plan
+    plan_of = Node._span_plan
+
+    def spy(node, now_ns):
+        plan = plan_of(node, now_ns)
+        if plan is None:
+            return plan
+        n = plan.n
+        times = plan.merged[:n] >> node._span_bits
+        reads = [plan.rank[i] for i in node._span_reads]
+        tied[plan.pos is not None] += int(np.count_nonzero(
+            np.isin(plan.ranks, reads) & (np.bincount(times)[times] > 1)))
+        if plan.pos is None:
+            timers = node._span_timers
+            queued = sorted(range(len(timers)),
+                            key=lambda i: timers[i].event.seq)
+            order = Node._span_settle(plan.keys, node._span_bits,
+                                      plan.offsets,
+                                      queued + node._span_lands)
+            assert np.array_equal(plan.keys[order[:n]], plan.merged[:n])
+        return plan
+
+    monkeypatch.setattr(Node, "_span_plan", spy)
+    node, metered = _spans_off_twins(
+        monkeypatch, lambda sim, node: _grid_meter(sim, node, ticks=ticks))
+    assert len(metered[0]) == 11
+    assert all(t % ms(1) == 0 for t in metered[0])
+    assert tied[ticks] >= 3, "no tied sample in a span"
+    assert node.span_applies > 0
+
+
+def test_late_reader_tied_with_a_rearmed_sample(monkeypatch):
+    """A span reader of its own (every millisecond, first firing 100 ms
+    after it starts) whose queued first firing ties with a re-armed
+    meter sample: the queued firing sorts first, although the tie rank
+    puts the longer period first, so the plan settles that tie. The
+    reader's records and both timers' sequence numbers match."""
+    def drive(sim, node):
+        node.run_workload(list(range(4)), compute())
+        sim.run_for(ms(4))
+        meter = Lmg450(sim, node)
+        meter.start()
+        log = []
+        task = sim.schedule_every(
+            ms(1), lambda t: log.append((t, node.ac_energy_j)),
+            label="tap", phase_ns=ms(100))
+        node.add_span_reader(task, lambda times, energies: log.extend(
+            zip(times, energies)))
+        # Just after the tie: the meter's timer still carries the
+        # sequence number its tied firing re-armed it with.
+        sim.run_until(ms(104) + us(500))
+        tied = (_metered(meter), list(log))
+        sim.run_for(ms(300))
+        return tied, _metered(meter), len(log), (task.event.time_ns,
+                                                task.event.seq)
+
+    node, (tied, metered, n_log, _) = _spans_off_twins(monkeypatch, drive)
+    assert tied[1][0][0] == ms(104) == metered[0][1]
+    assert n_log == 301
+    assert node.span_events > 1000
+
+
+def test_meter_draws_ledgered_in_event_order(monkeypatch):
+    """Under the ledger the meter's noise draws and the ticks' jitter
+    and dither draws interleave in event order, as in a span-free run
+    (the twins compare ledgers); the meter's site is in the ledger."""
+    def drive(sim, node):
+        _firestarter_turbo(sim, node)
+        meter = Lmg450(sim, node)
+        meter.start()
+        sim.run_for(ms(520))
+        return _metered(meter), [entry[0] for entry in sim.ledger.entries]
+
+    node, (metered, sites) = _spans_off_twins(monkeypatch, drive)
+    meter_sites = [i for i, site in enumerate(sites) if "lmg450" in site]
+    assert len(metered[0]) == 10 and len(meter_sites) >= 10
+    # Each sample's draw sits between tick draws.
+    assert meter_sites[0] > 0 and meter_sites[-1] < len(sites) - 1
+    assert node.span_applies >= 3
+
+
+def test_collapsed_landings(monkeypatch):
+    """A span lands only each socket's last carried grant; with
+    ``freq-apply`` recorded every landing lands and records in event
+    order, interleaved with ``rapl-update``, as in a span-free run."""
+    landed = []
+    span_land = Pcu.span_land
+
+    def spy(pcu, now_ns, grant_hz):
+        landed.append(now_ns)
+        span_land(pcu, now_ns, grant_hz)
+
+    monkeypatch.setattr(Pcu, "span_land", spy)
+
+    def drive(sim, node):
+        _firestarter_turbo(sim, node)
+        meter = Lmg450(sim, node)
+        meter.start()
+        sim.run_for(ms(400))
+        return _metered(meter)
+
+    quiet, _ = _spans_off_twins(monkeypatch, drive)
+    assert quiet.span_applies >= 10
+    assert len(landed) <= 2 * quiet.spans < quiet.span_applies
+    landed.clear()
+    traced, _ = _spans_off_twins(monkeypatch, drive, trace=lambda: (
+        TraceRecorder(kinds={"freq-apply", "rapl-update"})))
+    assert len(landed) == traced.span_applies == quiet.span_applies
+    kinds = [r.kind for r in traced.sim.trace.records]
+    # Each landing moves the socket's 12 cores.
+    assert kinds.count("freq-apply") >= 12 * traced.span_applies

@@ -101,6 +101,18 @@ class TestGraph:
         kinds = {name.rstrip("0123456789") for name in path}
         assert "queue" in kinds
 
+    @pytest.mark.parametrize("sku", [4, 6, 8, 10, 12, 14, 16, 18])
+    def test_hop_counts_match_graph_shortest_paths(self, sku):
+        """The breadth-first hop counts the averages use equal the
+        networkx shortest path lengths of the exported graph."""
+        die = build_haswell_die(sku)
+        graph = die.to_graph()
+        lengths = dict(nx.all_pairs_shortest_path_length(graph))
+        assert {name: sorted(die.adjacency()[name]) for name in graph} \
+            == {name: sorted(graph[name]) for name in graph}
+        for name in graph:
+            assert die.hop_counts(name) == lengths[name]
+
     def test_ring_edges_labeled(self):
         graph = build_haswell_die(12).to_graph()
         kinds = {data["kind"] for _, _, data in graph.edges(data=True)}

@@ -50,6 +50,20 @@ class TestWriteExperimentsMd:
         raw.decode("utf-8")       # must already be utf-8, not locale
 
 
+    def test_full_header_names_the_full_run(self, tmp_path):
+        out = tmp_path / "EXPERIMENTS_full.md"
+        write_experiments_md(out, _fake_results(), full=True)
+        text = out.read_text()
+        assert "`python scripts/run_paper.py --full`" in text
+        assert "at the paper's own size" in text
+        assert "run_paper_<id>.full.txt" in text
+        default = tmp_path / "EXPERIMENTS.md"
+        write_experiments_md(default, _fake_results())
+        assert text.split("## Summary")[1] == \
+            default.read_text().split("## Summary")[1].replace(
+                "run_paper_<id>.txt", "run_paper_<id>.full.txt")
+
+
 class TestRepoExperimentsMdFresh:
     def test_checked_in_report_is_complete(self):
         text = (Path(__file__).parents[1] / "EXPERIMENTS.md").read_text()
@@ -60,3 +74,18 @@ class TestRepoExperimentsMdFresh:
                        "DRAM saturation bandwidth",
                        "LINPACK max-window power"):
             assert needle in text, needle
+
+    def test_checked_in_full_report_is_complete(self):
+        """The paper-size claim table a ``--full`` run writes: every
+        claim of the default report, with no deviating claim."""
+        repo = Path(__file__).parents[1]
+        full = (repo / "EXPERIMENTS_full.md").read_text()
+        default = (repo / "EXPERIMENTS.md").read_text()
+        assert "at the paper's own size" in full
+        assert "No deviating claims." in full
+
+        def rows(text):
+            table = text.split("```")[1].splitlines()
+            return [line.split("|")[:2] for line in table if "|" in line]
+
+        assert rows(full) == rows(default)
