@@ -2,9 +2,14 @@
 
 Runs the paper's micro-benchmark set (idle, sinus, busy wait, memory,
 compute, dgemm, sqrt) in several threading configurations on a simulated
-node, averaging 4 s of constant load per point, and compares software
-RAPL readings (counter deltas x energy unit, with 32-bit wrap handling)
-against the AC meter:
+node, averaging each point over a window of ``measure_s`` (1 s at the
+catalogue's default size, the paper's 4 s with ``--full``) after
+``settle_s`` of settling, and compares software RAPL readings (counter
+deltas x energy unit, with 32-bit wrap handling) against the AC meter.
+The sinus load's period is a quarter of the window, in 32 steps, so
+each of its phases lasts ``measure_s / 128``: 7.8 ms at default size,
+31 ms with ``--full`` and 3.9 ms in perfbench's shortened run
+(``measure_s`` 0.5 s). The results:
 
 * **Haswell-EP** (measured RAPL): all workloads collapse onto a single
   quadratic AC = f(RAPL) — the paper's footnote-2 fit with R² > 0.9998;

@@ -74,6 +74,9 @@ class TdpLimiter:
         # re-dither on top (:meth:`grant`). A single-entry cache
         # thrashes as soon as two phase mixes alternate.
         self._solve_memo: dict[tuple, tuple[float, float, bool]] = {}
+        # How often the memo was cleared: a key it held is still there
+        # while this count stands.
+        self.memo_clears = 0
 
     _SOLVE_MEMO_MAX = 128
 
@@ -112,8 +115,12 @@ class TdpLimiter:
                           targets_hz, rng)
 
     def solve(self, targets_hz: dict[int, float], activity_sum: float,
-              ufs_target_hz: float | None) -> SolvedPoint:
-        """The budget split for these inputs, before dither (pure)."""
+              ufs_target_hz: float | None,
+              cached_only: bool = False) -> SolvedPoint | None:
+        """The budget split for these inputs, before dither (pure).
+
+        With ``cached_only`` a memo miss returns None instead of
+        solving: the memo's visits stay those of the decisions."""
         spec = self.spec
         if ufs_target_hz is None:
             # Package sleeping: no active cores by definition.
@@ -129,9 +136,12 @@ class TdpLimiter:
         memo = self._solve_memo
         hit = memo.get(key)
         if hit is None:
+            if cached_only:
+                return None
             hit = self._solve(f_common, activity_sum, ufs_cap, budget)
             if len(memo) >= self._SOLVE_MEMO_MAX:
                 memo.clear()
+                self.memo_clears += 1
             memo[key] = hit
         f_core, f_uncore, tdp_bound = hit
         return SolvedPoint(f_core, f_uncore, tdp_bound, f_common)

@@ -251,6 +251,21 @@ class Core:
         self.enter_cstate(state)
         return new
 
+    def successor(self, index: int) -> tuple[int, WorkloadPhase]:
+        """The phase index and phase :meth:`advance_phase` moves to from
+        phase ``index`` of the bound workload."""
+        return self._wl_next[index]
+
+    def skip_phases(self, index: int, phase: WorkloadPhase) -> None:
+        """Move to phase ``index`` (``phase``) of the bound workload at
+        once: the state a run of :meth:`advance_phase` ``(False)`` calls
+        through active phases leaves (a steady span's carried phase
+        cohorts, which bump the epoch themselves)."""
+        osa = object.__setattr__
+        osa(self, "phase_index", index)
+        # repro-lint: disable=epoch-bypass — the span bumps the socket per carried cohort
+        osa(self, "_phase", phase)
+
     @property
     def current_phase(self) -> WorkloadPhase | None:
         return self._phase

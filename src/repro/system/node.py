@@ -13,13 +13,15 @@ EPB, workload placement).
 Steady spans (:meth:`Node.run_span`): while nothing but the periodic
 events — both PCUs' ticks, their EET polls and the RAPL refresh, the
 samples of the instruments registered as span readers
-(:meth:`Node.add_span_reader`), and the landings of the grants a
-TDP-bound tick applies — would fire, and each of those would change
-nothing but draws, the MBVR state, the EET window, the visible RAPL
-energy, a reader's samples and the clocks a landing moves, the node
-plans them in (time, seq) order, integrates all their segments with one
-sequential accumulate and commits them, each step as array operations
-bit-identical to one event and one segment at a time.
+(:meth:`Node.add_span_reader`), the landings of the grants a TDP-bound
+tick applies, and a lockstep workload's phase cohorts whose next ticks
+re-grant the running clocks — would fire, and each of those would
+change nothing but draws, the MBVR state, the EET window, the visible
+RAPL energy, a reader's samples, the clocks a landing moves and the
+phase a cohort moves to, the node plans them in (time, seq) order,
+integrates all their segments with one sequential accumulate and
+commits them, each step as array operations bit-identical to one event
+and one segment at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.power.psu import PsuModel
 from repro.power.rapl import RaplDomain
 from repro.specs.node import NodeSpec, HASWELL_TEST_NODE
 from repro.system import buildhooks
+from repro.system.cohorts import SpanCohorts
 from repro.system.core import Core
 from repro.system.counters import CORE_COUNTER_FIELDS, FIELD_ROW
 from repro.system.socket import Socket
@@ -65,9 +68,13 @@ SPAN_MAX_EVENTS = 1024
 #: queue head, the ``run_until`` horizon, a tick whose dithered grant
 #: leaves its window and whose apply the span cannot carry, the end of
 #: a PCU's draw block, ``SPAN_MAX_EVENTS``, a plan too short to run (it
-#: fires as events), and an absorbed EET poll that moved a trim.
-SPAN_ENDS = ("head", "horizon", "window", "draws", "max", "short", "trim")
-_HEAD, _HORIZON, _WINDOW, _DRAWS, _MAX, _SHORT, _TRIM = SPAN_ENDS
+#: fires as events), an absorbed EET poll that moved a trim, and a
+#: phase cohort after a carried one that the span cannot carry.
+SPAN_ENDS = ("head", "horizon", "window", "draws", "max", "short", "trim",
+             "cohort")
+_HEAD, _HORIZON, _WINDOW, _DRAWS, _MAX, _SHORT, _TRIM, _COHORT = SPAN_ENDS
+#: The label of a phase-advance cohort's event.
+_COHORT_LABEL = "phase-cohort"
 #: Merge keys stay below this (see Node._span_plan).
 _SPAN_KEY_MAX = 1 << 62
 #: The keys of a timer with no candidate firing.
@@ -124,17 +131,20 @@ class _SpanPlan:
     (one past the last that can run), the tick jitters they came from,
     the applies :meth:`Pcu.span_ticks` found and the socket's landed
     lane (:meth:`Socket.landed_lane`). ``applies`` lists the planned
-    applies in landing order. ``reason`` is why the plan stopped, and
-    ``head`` the queue head's event when it stopped there.
+    applies in landing order, ``cohorts`` the phase cohorts the plan
+    carries (None: none), and ``rows`` the places where a landing or a
+    cohort starts a new rate row, each with its ``(socket, rates)``
+    pairs. ``reason`` is why the plan stopped, and ``head`` the queue
+    head's event when it stopped there.
     """
 
     __slots__ = ("n", "reason", "keys", "merged", "pos", "offsets",
                  "rank", "by_rank", "ranks", "times", "seg_of", "seg_ns",
-                 "ticks", "applies", "head")
+                 "ticks", "applies", "cohorts", "rows", "head")
 
     def __init__(self, n, reason, keys, merged, pos, offsets, rank,
                  by_rank, ranks, times, seg_of, seg_ns, ticks,
-                 applies, head) -> None:
+                 applies, cohorts, rows, head) -> None:
         self.n = n
         self.reason = reason
         self.keys = keys
@@ -149,6 +159,8 @@ class _SpanPlan:
         self.seg_ns = seg_ns
         self.ticks = ticks
         self.applies = applies
+        self.cohorts = cohorts
+        self.rows = rows
         self.head = head
 
 
@@ -234,9 +246,10 @@ class Node:
         # span, once every PCU and the RAPL refresh have started, and
         # again when a span reader comes, goes or gains or loses a fault
         # hook), the registered readers, how many spans ran, how many
-        # events they absorbed and how many grant applies they carried,
-        # why each plan stopped (a count per SPAN_ENDS reason) and, of
-        # the spans the queue head ended, the head event's label.
+        # events they absorbed, how many grant applies and phase cohorts
+        # they carried, why each plan stopped (a count per SPAN_ENDS
+        # reason) and, of the spans the queue head ended, the head
+        # event's label.
         self.rapl_timer = None
         self._span_timers: list[_SpanTimer] | None = None
         self._span_readers: list[tuple] = []
@@ -245,6 +258,10 @@ class Node:
         self.spans = 0
         self.span_events = 0
         self.span_applies = 0
+        self.span_cohorts = 0
+        # The cohort checks per state they hold for (SpanCohorts):
+        # {state: {phase: check}}.
+        self._span_checks: dict[tuple, dict] = {}
         self.span_ends: Counter = Counter()
         self.span_heads: Counter = Counter()
 
@@ -566,13 +583,15 @@ class Node:
                                if timer.kind is not _TICK]
         self._span_reads = [i for i, timer in enumerate(timers)
                             if timer.kind is _READ]
-        # Each PCU's landings merge as one more candidate list.
+        # Each PCU's landings merge as one more candidate list, and the
+        # phase cohorts a span carries as one after them.
         self._span_lands = [len(timers) + p for p in range(len(self.pcus))]
+        self._span_cohort = len(timers) + len(self.pcus)
         # A merge key's tie rank takes its low bits: the periodic
         # timers' ranks are set per plan, each PCU's tick has the rank
-        # after them, then each PCU's landings; a tick's key array is
-        # kept per jitter block.
-        self._span_bits = (len(timers) + len(self.pcus) - 1).bit_length()
+        # after them, then each PCU's landings, then the cohorts; a
+        # tick's key array is kept per jitter block.
+        self._span_bits = self._span_cohort.bit_length()
         self._span_tick_keys = [(None, None)] * len(self.pcus)
         # The accumulator entries a span reads before its end: the
         # aperf and stall-cycle rows of the counter block (its EET
@@ -607,36 +626,46 @@ class Node:
         1. *Plan* (:meth:`_span_plan`): each timer's firings as merge
            keys — tick times from the running sum of the tick delays
            over the jitter read-ahead, polls, refreshes and readers as
-           arithmetic progressions, and the landing of each grant apply
-           a span can carry (:meth:`Pcu.span_ticks`) — merged by one
-           sort, up to the first of the queue head, the ``run_until``
-           horizon, a tick whose dithered grant leaves its window and
-           whose apply the span cannot carry, the end of a PCU's draw
-           block and ``SPAN_MAX_EVENTS``. A span holds an apply's tick only with
-           its landing and a firing after it (:meth:`_span_cut`).
+           arithmetic progressions, the landing of each grant apply a
+           span can carry (:meth:`Pcu.span_ticks`), and the chain of
+           phase cohorts a queue-head cohort starts
+           (:meth:`SpanCohorts.at_head`) — merged by one sort, up to the
+           first of the queue head, the ``run_until`` horizon, a tick
+           whose dithered grant leaves its window and whose apply the
+           span cannot carry, the end of a PCU's draw block,
+           ``SPAN_MAX_EVENTS`` and a cohort after whose derivation
+           ticks a PCU would not re-grant the running clocks
+           (:meth:`SpanCohorts.carry`). A span holds an apply's tick only
+           with its landing and a firing after it (:meth:`_span_cut`),
+           and a cohort only with a firing after it.
         2. *Integrate* (:meth:`_span_integrate`): each segment's
            ``rate * dt_s`` increments, with the same products as the
            per-segment adds, from the rate row of the point its
-           landings left; the entries read mid-span get their running
-           sums.
+           landings and cohorts left; the entries read mid-span get
+           their running sums.
         3. *Replay* (:meth:`_span_replay`) each PCU's EET polls on the
            accumulated states; the span ends after the first poll, in
-           event order, that moves a trim.
+           event order, that moves a trim. The solves a cohort's
+           derivation ticks missed in the limiter's memo are made next,
+           in event order (:meth:`SpanCohorts.solve`).
 
         The commit (:meth:`_span_commit`) sums the increments in order
         into the final state (the sequential sum of the per-segment
         adds), latches each socket's RAPL energy as of the last refresh
         (emitting every absorbed ``rapl-update`` when it is recorded),
         lands each socket's last carried apply (every one, in event
-        order, when ``freq-apply`` is recorded), commits the polls,
-        takes each PCU's tick draws at once (:meth:`DrawBatch.take_n`),
-        hands each reader its samples, leaves each PCU's decision and
-        window as its applies did, makes the last tick's MBVR
-        selection, re-arms the timers under the sequence numbers the
+        order, when ``freq-apply`` is recorded), moves the carried
+        cohorts' cores to their last phase and adopts each touched
+        socket's last rates, commits the polls, takes each PCU's tick
+        draws at once (:meth:`DrawBatch.take_n`), hands each reader its
+        samples, leaves each PCU's decision and window as its applies
+        did and its derivation and plan as its ticks after the cohorts
+        did, makes the last tick's MBVR selection, re-arms the timers
+        and re-queues the pending cohort under the sequence numbers the
         events would have taken, and advances any other integrator
-        segment by segment. Another integrator must not
-        read the node's accumulators or the clocks a landing moves:
-        during a span it sees their end state.
+        segment by segment. Another integrator must not read the
+        node's accumulators, the clocks a landing moves or the phases a
+        cohort moves: during a span it sees their end state.
         """
         if now_ns < self._span_short_until:
             # The last plan fell short of a horizon not yet reached: any
@@ -661,7 +690,17 @@ class Node:
                 # and its landing: the events fire from the queue.
                 self.span_ends[_TRIM] += 1
                 return
-        self._span_commit(now_ns, plan, inc, mid, n_commit, polls)
+        end = _TRIM if n_commit < plan.n else plan.reason
+        if plan.cohorts is not None:
+            if n_commit < plan.n:
+                n_commit = plan.cohorts.uncarry(plan.times, n_commit)
+            solved = plan.cohorts.solve(n_commit)
+            if solved < n_commit:
+                n_commit, end = solved, _COHORT
+            if not n_commit:
+                self.span_ends[end] += 1
+                return
+        self._span_commit(now_ns, plan, inc, mid, n_commit, polls, end)
 
     def _span_plan(self, now_ns: int) -> _SpanPlan | None:
         """Phase 1 of :meth:`run_span`: which timer fires when.
@@ -670,11 +709,14 @@ class Node:
         timer's candidate firings up to the horizon (the limit, or the
         first tick that cannot run) are merge keys
         ``(time - now) << bits | rank``, and so is each carried apply's
-        landing, ``pstate_switch_time_ns`` after its tick; one sort
-        merges them in (time, seq) order (:meth:`_span_settle` explains
-        the tie rank), and the plan is the merge up to the limit, the
-        first tick that cannot run, or ``SPAN_MAX_EVENTS``, and short of
-        any apply whose landing it does not hold (:meth:`_span_cut`).
+        landing, ``pstate_switch_time_ns`` after its tick, and each
+        phase cohort of the chain a queue-head cohort starts
+        (:meth:`SpanCohorts.at_head`); one sort merges them in (time, seq)
+        order (:meth:`_span_settle` explains the tie rank), and the plan
+        is the merge up to the limit, the first tick that cannot run, or
+        ``SPAN_MAX_EVENTS``, short of any apply whose landing it does
+        not hold (:meth:`_span_cut`) and of the first cohort it cannot
+        carry (:meth:`SpanCohorts.carry`).
         """
         sim = self.sim
         timers = self._span_timers
@@ -688,6 +730,14 @@ class Node:
         limit = (sim.until_ns + 1, -1)
         reason = _HORIZON
         head = sim.queue.head_entry(events)
+        cohorts = None
+        queued = events
+        if (head is not None and head[0] < limit[0]
+                and head[2].label == _COHORT_LABEL):
+            cohorts = SpanCohorts.at_head(self, head[2])
+            if cohorts is not None:
+                queued = events + (head[2],)
+                head = sim.queue.head_entry(queued)
         if head is not None and head < limit:
             limit, reason = head, _HEAD
         # At most this many firings come before the limit: too few, and
@@ -702,12 +752,12 @@ class Node:
             return self._span_short(limit[0])
         # Tie ranks: the periodic timers by longer period, then by later
         # queued time, then by seq; then each PCU's tick; then each
-        # PCU's landings.
+        # PCU's landings; then the cohorts.
         bits = self._span_bits
-        rank = [0] * (len(timers) + len(self.pcus))
+        rank = [0] * (self._span_cohort + 1)
         by_rank = sorted(self._span_periodic, key=lambda i: (
             -timers[i].period_ns, -events[i].time_ns, events[i].seq)) \
-            + self._span_ticks + self._span_lands
+            + self._span_ticks + self._span_lands + [self._span_cohort]
         for r, i in enumerate(by_rank):
             rank[i] = r
         horizon = min(limit[0], now_ns + (_SPAN_KEY_MAX >> bits))
@@ -750,6 +800,9 @@ class Node:
                               if c else _NO_KEYS)
         for _, _, _, _, lands, _ in ticks:
             parts.append(lands[:lands.searchsorted(end_key)])
+        parts.append(cohorts.keys(now_ns, horizon, SPAN_MAX_EVENTS + 1, bits,
+                                  rank[self._span_cohort])
+                     if cohorts is not None else _NO_KEYS)
         counts = [len(keys) for keys in parts]
         if sum(counts) < SPAN_MIN_EVENTS:
             return self._span_short(horizon)
@@ -767,7 +820,7 @@ class Node:
             # only a queued firing can precede it.
             n = int(merged.searchsorted(limit[0] - now_ns << bits))
             if limit[0] <= horizon:
-                n += sum(1 for e in events
+                n += sum(1 for e in queued
                          if e.time_ns == limit[0] and e.seq < limit[1])
             why = reason
             for p, i in enumerate(self._span_ticks):
@@ -789,6 +842,14 @@ class Node:
                 cut = self._span_cut(n, exit_at, land_at)
                 if cut < n:
                     n, why = cut, _WINDOW
+            if cohorts is not None:
+                places = [pos[offsets[i]:offsets[i + 1]] if pos is not None
+                          else merged.searchsorted(
+                              keys[offsets[i]:offsets[i + 1]])
+                          for i in self._span_ticks + [self._span_cohort]]
+                cut = cohorts.carry(n, places.pop(), places, merged >> bits)
+                if cut < n:
+                    n, why = cut, _COHORT
             # Event times (ns after now) and the steps between them, for
             # the planned events and every firing at the time of the
             # next one: the merge must have their ties right.
@@ -808,9 +869,14 @@ class Node:
                         moved[1:], ranks, by_rank,
                         ahead == firsts[ranks])):
                 break
-            queued = sorted(range(len(timers)), key=lambda i: events[i].seq)
-            order = self._span_settle(keys, bits, offsets,
-                                      queued + self._span_lands)
+            # The candidate lists with a queued firing, in seq order.
+            firsts_by_seq = sorted(
+                [(e.seq, i) for i, e in enumerate(events)]
+                + ([(cohorts.event.seq, self._span_cohort)]
+                   if cohorts is not None else []))
+            order = self._span_settle(
+                keys, bits, offsets,
+                [i for _, i in firsts_by_seq] + self._span_lands)
             merged = keys[order]
             pos = np.empty(len(order), dtype=np.intp)
             pos[order] = np.arange(len(order))
@@ -824,10 +890,16 @@ class Node:
                     rates = self.sockets[p].landed_rates(ticks[p][5], g)
                     applies.append(_SpanApply(p, j, g, e, land, rates))
             applies.sort(key=lambda a: a.land)
+        rows = [(a.land, [(a.pcu, a.rates)]) for a in applies]
+        if cohorts is not None:
+            if len(cohorts.at):
+                rows = cohorts.rows()
+            else:
+                cohorts = None
         moved = moved[:n]
         return _SpanPlan(n, why, keys, merged, pos, offsets, rank, by_rank,
                          ranks[:n], ext[1:n + 1], moved.cumsum(),
-                         step[:n][moved], ticks, applies,
+                         step[:n][moved], ticks, applies, cohorts, rows,
                          limit[2] if why is _HEAD else None)
 
     def _span_applies(self, ticks: list, counts: list[int],
@@ -940,8 +1012,8 @@ class Node:
         Returns ``(inc, mid)``. Row 0 of ``inc`` is the current state
         (the accumulator vector, then the AC energy) and row ``k`` the
         increment of segment ``k``: the product :meth:`integrate` forms,
-        from the rate vector and AC power of the point the landings
-        before the segment left. Adding rows in order is the sequential
+        from the rate vector and AC power of the point the landings and
+        cohorts before the segment left. Adding rows in order is the sequential
         sum the per-segment adds compute, so the state after ``k``
         segments is bit-identical to ``np.add.reduce(inc[:k + 1],
         axis=0)`` (the commit's sum) and to row ``k`` of
@@ -958,20 +1030,20 @@ class Node:
         dt_s = (seg_ns / NS_PER_S)[:, None]
         rates = self._acc_rates
         dc = [s._rates.dc_w for s in self.sockets]
-        # Each landing starts a run of segments at a new rate row.
-        bounds = [0] + [int(plan.seg_of[a.land]) for a in plan.applies] \
+        # Each landing or cohort starts a run of segments at a new rate
+        # row.
+        bounds = [0] + [int(plan.seg_of[k]) for k, _ in plan.rows] \
             + [len(seg_ns)]
         for r, (a, b) in enumerate(pairwise(bounds)):
             if r:
-                landed = plan.applies[r - 1]
                 if r == 1:
                     rates = rates.copy()
-                cols, tail = self._socket_entries[landed.pcu]
-                rates[:self._rate_block.size].reshape(
-                    self._rate_block.shape)[:, cols] = \
-                    landed.rates.rate_matrix
-                rates[tail] = landed.rates.scalars
-                dc[landed.pcu] = landed.rates.dc_w
+                for sid, new in plan.rows[r - 1][1]:
+                    cols, tail = self._socket_entries[sid]
+                    rates[:self._rate_block.size].reshape(
+                        self._rate_block.shape)[:, cols] = new.rate_matrix
+                    rates[tail] = new.scalars
+                    dc[sid] = new.dc_w
             dc_w = 0.0
             for w in dc:
                 dc_w += w
@@ -1008,9 +1080,10 @@ class Node:
         return n_commit, polls
 
     def _span_commit(self, now_ns: int, plan: _SpanPlan, inc: np.ndarray,
-                     mid: np.ndarray, n_commit: int, polls: list) -> None:
+                     mid: np.ndarray, n_commit: int, polls: list,
+                     end: str) -> None:
         """The commit of :meth:`run_span`: the first ``n_commit``
-        planned events happen."""
+        planned events happen; ``end`` is why the span stopped."""
         sim = self.sim
         pcus = self.pcus
         timers = self._span_timers
@@ -1045,6 +1118,15 @@ class Node:
         record = sim.trace.wants("rapl-update")
         steps = [(a.land, a) for a in applies
                  if record_apply or last_land[a.pcu] is a]
+        # The carried cohorts: each touched socket's epoch moves as the
+        # events move it, and the last cohort's refresh adopts its rates.
+        cohorts = plan.cohorts
+        n_cohorts = 0
+        if cohorts is not None:
+            n_cohorts = int(cohorts.at.searchsorted(n_commit))
+        if n_cohorts:
+            cohorts.advance(n_cohorts, hits)
+            steps.append((int(cohorts.at[n_cohorts - 1]), cohorts))
         for i in self._span_periodic:
             if timers[i].kind is _REFRESH and fired[i]:
                 at = (np.flatnonzero(ranks == plan.rank[i]).tolist()
@@ -1055,21 +1137,25 @@ class Node:
         settled_ns = now_ns
         for k, apply in steps:
             at_ns = now_ns + int(plan.times[k])
-            if apply is not None:
+            if apply is None:
+                row = mid[plan.seg_of[k]]
+                for s, entries in zip(self.sockets, self._span_mid_rapl):
+                    s.rapl.latch(row[entries])
+                    if record:
+                        self._emit_rapl_update(at_ns, s)
+            elif apply is cohorts:
+                self._res_pending_ns += at_ns - settled_ns
+                settled_ns = at_ns
+                cohorts.adopt(n_cohorts, any_active)
+            else:
                 p = apply.pcu
                 pcus[p].span_land(at_ns, apply.grant)
                 if last_land[p] is apply:
                     self._res_pending_ns += at_ns - settled_ns
                     settled_ns = at_ns
-                    self.sockets[p].adopt_landed(
-                        plan.ticks[p][5], apply.grant, apply.rates,
-                        any_active)
-                continue
-            row = mid[plan.seg_of[k]]
-            for s, entries in zip(self.sockets, self._span_mid_rapl):
-                s.rapl.latch(row[entries])
-                if record:
-                    self._emit_rapl_update(at_ns, s)
+                    self.sockets[p].adopt(
+                        Socket.landed_key(plan.ticks[p][5], apply.grant),
+                        apply.rates, any_active)
         elapsed = t_end - now_ns
         for s, n_hits in zip(self.sockets, hits):
             s.absorb_span(elapsed, n_hits)
@@ -1109,6 +1195,12 @@ class Node:
                     self._span_read(now_ns, plan, mid, timers[i],
                                     slice(k, k + 1))
 
+        # Each PCU after carried cohorts: the cache its last derivation
+        # tick left, and the plan and load the tick after one left.
+        loads = {}
+        if n_cohorts:
+            loads = cohorts.rederived(n_cohorts, n_commit)
+
         # Each PCU with carried applies: the last one's decision, and
         # the window of the last tick after a landing.
         for p, i in enumerate(self._span_ticks):
@@ -1141,8 +1233,16 @@ class Node:
             k = places[i]
             timer.rearm(t_next, base + k + bisect_right(exits, k)
                         - bisect_left(lands, k))
+        if n_cohorts:
+            cohorts.requeue(n_cohorts, now_ns,
+                            base + int(cohorts.at[n_cohorts - 1]))
         if last_tick[1] >= 0:
-            pcus[last_tick[1]].select_steady_power_state()
+            # A derivation tick selects on the breakdown before it.
+            load = loads.get(last_tick)
+            if load is not None:
+                self.mbvr.select_power_state(load)
+            else:
+                pcus[last_tick[1]].select_steady_power_state()
 
         sim.now_ns = t_end
         others = [c for c in sim.integrators if c is not self]
@@ -1155,7 +1255,7 @@ class Node:
         self.spans += 1
         self.span_events += n_commit
         self.span_applies += len(applies)
-        end = _TRIM if n_commit < plan.n else plan.reason
+        self.span_cohorts += n_cohorts
         self.span_ends[end] += 1
         if end is _HEAD:
             self.span_heads[plan.head.label] += 1
@@ -1170,7 +1270,10 @@ class Node:
     # ---- human-readable state dump ---------------------------------------------
 
     def summary(self) -> str:
-        """One-screen state report: per-socket frequencies, power, states."""
+        """One-screen state report: per-socket frequencies, power,
+        states, and the steady spans: how many ran, the events they
+        absorbed, the applies and cohorts they carried and their three
+        most common ends (:data:`SPAN_ENDS`)."""
         lines = [f"{self.spec.name} @ t={self.sim.now_ns / 1e9:.3f} s"]
         for socket in self.sockets:
             active = socket.active_cores()
@@ -1193,6 +1296,12 @@ class Node:
             if len(active) > 6:
                 lines.append(f"    ... {len(active) - 6} more active cores")
         lines.append(f"  wall power: {self.ac_power_w():.1f} W")
+        lines.append(
+            f"  spans: {self.spans} run, {self.span_events} events "
+            f"absorbed, {self.span_applies} applies and "
+            f"{self.span_cohorts} cohorts carried; ends " + ", ".join(
+                f"{end} {count}"
+                for end, count in self.span_ends.most_common(3)))
         return "\n".join(lines)
 
 

@@ -124,6 +124,16 @@ class TestNodeSummary:
         assert "W pkg" in text
         assert "wall power" in text
         assert "licensed" in text            # FIRESTARTER holds AVX licenses
+        # The steady spans explain the run: counts and the commonest ends.
+        spans = text.splitlines()[-1]
+        assert spans.startswith(f"  spans: {haswell.spans} run, "
+                                f"{haswell.span_events} events absorbed, "
+                                f"{haswell.span_applies} applies and "
+                                f"{haswell.span_cohorts} cohorts carried; "
+                                "ends ")
+        assert haswell.spans > 0
+        end, count = haswell.span_ends.most_common(1)[0]
+        assert f"ends {end} {count}" in spans
 
     def test_summary_idle(self, sim, haswell):
         sim.run_for(ms(5))
