@@ -11,7 +11,9 @@ like real tooling would.
 Run:  python examples/pcps_energy_tuning.py
 """
 
-from repro import MSR, MsrSpace, build_haswell_node, compute, while1_spin
+from repro import build_haswell_node, compute, while1_spin
+from repro.hostif import HostMsr, VirtualMsrDev
+from repro.hostif.msr_regs import decode_uncore_ratio_limit
 from repro.pcu.epb import Epb, encode_epb
 from repro.power.rapl import RaplDomain
 from repro.units import ghz, seconds, to_ghz
@@ -66,22 +68,23 @@ def main() -> None:
 
     # The MSR view, as tooling like likwid-powermeter uses it.
     sim, node = build_haswell_node(seed=29)
-    msr = MsrSpace(node)
-    msr.write(0, MSR.IA32_ENERGY_PERF_BIAS, encode_epb(Epb.POWERSAVE))
+    msr = VirtualMsrDev(node)
+    msr.write(0, HostMsr.IA32_ENERGY_PERF_BIAS, encode_epb(Epb.POWERSAVE))
     sim.run_for(seconds(1))
     print("\nMSR view after writing EPB=energy-saving (value 15):")
     print(f"  IA32_ENERGY_PERF_BIAS = "
-          f"{msr.read(0, MSR.IA32_ENERGY_PERF_BIAS)}")
-    unit_bits = (msr.read(0, MSR.MSR_RAPL_POWER_UNIT) >> 8) & 0x1F
+          f"{msr.read(0, HostMsr.IA32_ENERGY_PERF_BIAS)}")
+    unit_bits = (msr.read(0, HostMsr.MSR_RAPL_POWER_UNIT) >> 8) & 0x1F
     print(f"  MSR_RAPL_POWER_UNIT energy exponent = {unit_bits} "
           f"(1/2^{unit_bits} J)")
     print(f"  MSR_PKG_ENERGY_STATUS = "
-          f"{msr.read(0, MSR.MSR_PKG_ENERGY_STATUS)} counts")
-    print("  MSR 0x620 (UNCORE_RATIO_LIMIT): ", end="")
-    try:
-        msr.read(0, MSR.MSR_UNCORE_RATIO_LIMIT)
-    except Exception as exc:
-        print(f"{type(exc).__name__}: {exc}")
+          f"{msr.read(0, HostMsr.MSR_PKG_ENERGY_STATUS)} counts")
+    # Undocumented when the paper was written (Section II-D); this is
+    # the encoding Intel documented later.
+    min_hz, max_hz = decode_uncore_ratio_limit(
+        msr.read(0, HostMsr.MSR_UNCORE_RATIO_LIMIT))
+    print(f"  MSR_UNCORE_RATIO_LIMIT = {to_ghz(min_hz):.1f}-"
+          f"{to_ghz(max_hz):.1f} GHz")
     dram_j = node.sockets[0].rapl.read_energy_j(RaplDomain.DRAM)
     print(f"  DRAM energy via the 15.3 uJ unit: {dram_j:.2f} J")
 

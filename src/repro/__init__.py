@@ -24,7 +24,7 @@ Quickstart::
 """
 
 from repro.engine import Simulator
-from repro.system import Node, build_node, build_haswell_node, MsrSpace, MSR
+from repro.system import Node, build_node, build_haswell_node
 from repro.specs import (
     HASWELL_TEST_NODE,
     SANDY_BRIDGE_TEST_NODE,
@@ -55,8 +55,6 @@ __all__ = [
     "Node",
     "build_node",
     "build_haswell_node",
-    "MsrSpace",
-    "MSR",
     "HASWELL_TEST_NODE",
     "SANDY_BRIDGE_TEST_NODE",
     "WESTMERE_TEST_NODE",

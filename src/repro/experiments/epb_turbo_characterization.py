@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import render_table
 from repro.engine.simulator import Simulator
+from repro.hostif import HostMsr, VirtualMsrDev
 from repro.pcu.epb import Epb, decode_epb
 from repro.specs.node import HASWELL_TEST_NODE
-from repro.system.msr import MSR, MsrSpace
 from repro.system.node import build_node
 from repro.units import ghz, ms
 from repro.workloads.micro import busy_wait, dgemm
@@ -40,8 +40,7 @@ def run_epb_mapping(seed: int = 131, settle_ns: int = ms(20)
     for raw in range(16):
         sim = Simulator(seed=seed)
         node = build_node(sim, HASWELL_TEST_NODE)
-        msr = MsrSpace(node)
-        msr.write(0, MSR.IA32_ENERGY_PERF_BIAS, raw)
+        VirtualMsrDev(node).write(0, HostMsr.IA32_ENERGY_PERF_BIAS, raw)
         node.run_workload([0], mprime())
         node.set_pstate([0], ghz(2.5))
         sim.run_for(settle_ns)

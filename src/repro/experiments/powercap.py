@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import render_table
 from repro.engine.simulator import Simulator
+from repro.hostif import HostMsr, VirtualMsrDev
+from repro.hostif.msr_regs import encode_power_limit
 from repro.instruments.perfctr import LikwidSampler
 from repro.specs.node import HASWELL_TEST_NODE
-from repro.system.msr import MSR, MsrSpace, PL1_ENABLE, POWER_UNIT_W
 from repro.system.node import build_node
 from repro.units import seconds
 from repro.workloads.firestarter import firestarter
@@ -44,16 +45,16 @@ def run_powercap_sweep(
 ) -> list[PowerCapPoint]:
     sim = Simulator(seed=seed)
     node = build_node(sim, HASWELL_TEST_NODE)
-    msr = MsrSpace(node)
+    msr = VirtualMsrDev(node)
     node.run_workload([c.core_id for c in node.all_cores],
                       firestarter(ht=True))
     monitor = [0, node.spec.cpu.n_cores]
 
     points = []
     for cap in caps_w:
-        raw = int(cap / POWER_UNIT_W) | PL1_ENABLE
-        msr.write(0, MSR.MSR_PKG_POWER_LIMIT, raw)
-        msr.write(node.spec.cpu.n_cores, MSR.MSR_PKG_POWER_LIMIT, raw)
+        raw = encode_power_limit(cap)
+        msr.write(0, HostMsr.MSR_PKG_POWER_LIMIT, raw)
+        msr.write(node.spec.cpu.n_cores, HostMsr.MSR_PKG_POWER_LIMIT, raw)
         sim.run_for(seconds(1))           # settle to the new equilibrium
         sampler = LikwidSampler(sim, node, core_ids=monitor,
                                 period_ns=seconds(measure_s / 4))

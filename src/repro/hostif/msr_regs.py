@@ -7,8 +7,7 @@ and writes. Nothing here touches the simulator — the device model in
 
 Note on MSR_UNCORE_RATIO_LIMIT: at the time of the paper the register
 was undocumented ("neither the actual number of this MSR nor the encoded
-information is available", Section II-D), which is why the paper-faithful
-:class:`repro.system.msr.MsrSpace` raises on it. The host interface
+information is available", Section II-D). The host interface
 implements the encoding Intel later documented (and pepc uses): max
 ratio in bits 6:0, min ratio in bits 14:8, in units of the 100 MHz BCLK.
 """

@@ -6,9 +6,8 @@ API uses (``Node.set_pstate``, the PCU's EPB/turbo/uncore-limit knobs,
 the TDP limiter budget). That write-through equivalence is what the
 hostif parity experiment proves bit-identical.
 
-Reads fire the ``msr-read`` fault hook exactly like the paper-faithful
-:class:`repro.system.msr.MsrSpace`, so chaos-mode transient MSR faults
-hit the host interface too.
+Reads fire the ``msr-read`` fault hook, so chaos-mode transient MSR
+faults hit every register read.
 """
 
 from __future__ import annotations

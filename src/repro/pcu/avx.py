@@ -75,8 +75,9 @@ class AvxUnit:
         phase = core._phase
         lic = core.avx_license
         if phase is not None and phase._avx_active:
-            if lic is _LICENSED:
-                # Steady AVX: licensed with nothing pending to cancel.
+            if lic is _LICENSED or lic is _REQUESTING:
+                # Steady AVX: licensed with nothing pending to cancel,
+                # or still waiting on a grant that must stay queued.
                 return
             self._cancel(core)
             if lic is _NORMAL:

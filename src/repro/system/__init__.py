@@ -1,11 +1,10 @@
-"""The simulated machine: cores, uncore, sockets, node, MSR space."""
+"""The simulated machine: cores, uncore, sockets, node."""
 
 from repro.system.counters import CoreCounters, UncoreCounters
 from repro.system.core import Core
 from repro.system.uncore import Uncore
 from repro.system.socket import Socket
 from repro.system.node import Node, build_node, build_haswell_node
-from repro.system.msr import MsrSpace, MSR
 
 __all__ = [
     "CoreCounters",
@@ -16,6 +15,4 @@ __all__ = [
     "Node",
     "build_node",
     "build_haswell_node",
-    "MsrSpace",
-    "MSR",
 ]

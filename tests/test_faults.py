@@ -20,11 +20,11 @@ from repro.faults import (
     FaultPlan,
     chaos,
 )
+from repro.hostif import HostMsr, VirtualMsrDev
 from repro.instruments.lmg450 import Lmg450
 from repro.instruments.perfctr import LikwidSampler
 from repro.power.rapl import RaplDomain, wraparound_delta
 from repro.specs.node import HASWELL_TEST_NODE
-from repro.system.msr import MSR, MsrSpace
 from repro.system.node import build_node
 from repro.units import ms, seconds
 from repro.util.retry import Backoff
@@ -171,12 +171,12 @@ class TestMsrTransient:
 
     def test_msr_read_fails_inside_window_recovers_after(self):
         sim, node, _ = _armed_node(self._plan_window())
-        msr = MsrSpace(node)
+        msr = VirtualMsrDev(node)
         sim.run_for(seconds(1))          # window opens exactly at t=1
         with pytest.raises(TransientMsrError):
-            msr.read(0, MSR.IA32_APERF)
+            msr.read(0, HostMsr.IA32_APERF)
         sim.run_for(seconds(2))          # window closed
-        assert isinstance(msr.read(0, MSR.IA32_APERF), int)
+        assert isinstance(msr.read(0, HostMsr.IA32_APERF), int)
 
     def test_transient_error_is_both_retryable_and_msr(self):
         assert issubclass(TransientMsrError, TransientFaultError)

@@ -5,7 +5,10 @@ import pytest
 from repro.errors import MeasurementError
 from repro.experiments.avx_transient import run_avx_transient
 from repro.instruments.freqtrace import FreqTrace
+from repro.pcu.avx import GRANT_DELAY_NS
+from repro.system.core import AvxLicense
 from repro.units import ghz, ms, us
+from repro.workloads.base import Workload, WorkloadPhase
 from repro.workloads.micro import busy_wait
 
 
@@ -66,3 +69,22 @@ class TestAvxTransient:
 
     def test_licensed_interval_covers_the_burst(self, result):
         assert result.licensed_ns == pytest.approx(ms(3), rel=0.1)
+
+
+class TestAvxLicense:
+    def test_grant_survives_avx_to_avx_phase_change(self, sim, haswell):
+        """A core still waiting on its grant keeps it across a flip
+        into another AVX phase instead of staying throttled."""
+        avx = dict(power_activity=0.85, ipc_parity=1.4, avx_fraction=0.9)
+        haswell.run_workload([0], Workload(
+            name="avx_avx", cyclic=False,
+            phases=(WorkloadPhase(name="avx_short", duration_ns=us(10),
+                                  **avx),
+                    WorkloadPhase(name="avx_long", **avx))))
+        core = haswell.core(0)
+        assert core.avx_license is AvxLicense.REQUESTING
+        sim.run_for(GRANT_DELAY_NS)
+        assert core._phase.name == "avx_long"
+        assert core.avx_license is AvxLicense.LICENSED
+        sim.run_for(ms(50))
+        assert core.avx_license is AvxLicense.LICENSED

@@ -9,8 +9,8 @@ from repro.cstates.states import CState
 from repro.errors import ConfigurationError, MsrError
 from repro.hostif import HostMsr, VirtualHost
 from repro.hostif import msr_regs as regs
-from repro.power.rapl import RaplDomain
-from repro.system.msr import MSR, MsrSpace
+from repro.pcu.epb import Epb, encode_epb
+from repro.power.rapl import RaplDomain, unit_exponent
 from repro.system.node import build_haswell_node
 from repro.units import ghz, ms
 from repro.workloads.firestarter import firestarter
@@ -68,6 +68,26 @@ class TestMsrDevice:
         # same package, other cpu: same value (EPB is package-scoped here)
         assert host.msr.read(3, HostMsr.IA32_ENERGY_PERF_BIAS) == 15
 
+    def test_epb_read_write(self, host):
+        host.msr.write(0, HostMsr.IA32_ENERGY_PERF_BIAS, 15)
+        assert host.node.pcus[0].epb is Epb.POWERSAVE
+        assert host.msr.read(0, HostMsr.IA32_ENERGY_PERF_BIAS) == 15
+        # package-scoped: the write on cpu 0 leaves socket 1 untouched
+        assert host.node.pcus[1].epb is Epb.BALANCED
+
+    def test_energy_status_reads(self, host):
+        host.node.run_workload([0], busy_wait())
+        host.sim.run_for(ms(10))
+        assert host.msr.read(0, HostMsr.MSR_PKG_ENERGY_STATUS) > 0
+        assert host.msr.read(0, HostMsr.MSR_DRAM_ENERGY_STATUS) > 0
+
+    def test_aperf_mperf_tsc(self, host):
+        host.node.run_workload([0], busy_wait())
+        host.sim.run_for(ms(10))
+        assert host.msr.read(0, HostMsr.IA32_APERF) > 0
+        assert host.msr.read(0, HostMsr.IA32_MPERF) > 0
+        assert host.msr.read(0, HostMsr.IA32_TIME_STAMP_COUNTER) > 0
+
     def test_rapl_power_unit_full_layout(self, host):
         value = host.msr.read(0, HostMsr.MSR_RAPL_POWER_UNIT)
         assert value & 0xF == 3                      # 0.125 W
@@ -122,16 +142,15 @@ class TestMsrDevice:
 
 
 class TestEnergyCounterWrapParity:
-    """Satellite bugfix: raw energy reads are masked to 32 bits, so the
-    hostif, the paper-faithful MsrSpace, and the RAPL bank agree even
-    when the injector has skewed the counter phase past the wrap."""
+    """Raw energy reads are masked to 32 bits, so the device and the
+    RAPL bank agree even when the injector has skewed the counter phase
+    past the wrap."""
 
     def test_reads_agree_after_forced_wrap(self, host):
         node = host.node
         node.run_workload([0], busy_wait())
         host.sim.run_for(ms(5))
         socket = node.sockets[0]
-        msrspace = MsrSpace(node)
         for domain, address in ((RaplDomain.PACKAGE,
                                  HostMsr.MSR_PKG_ENERGY_STATUS),
                                 (RaplDomain.DRAM,
@@ -140,45 +159,63 @@ class TestEnergyCounterWrapParity:
             bank = socket.rapl.read_counter(domain)
             assert bank < 1 << 32
             assert host.msr.read(0, address) == bank
-            assert msrspace.read(0, int(address)) == bank
 
-    def test_msrspace_masks_to_32_bits(self, host):
+    def test_device_masks_to_32_bits(self, host):
         """Even a skew beyond the wrap boundary never leaks extra bits."""
-        node = host.node
-        socket = node.sockets[0]
+        socket = host.node.sockets[0]
         socket.rapl._counter_skew[RaplDomain.PACKAGE] = (1 << 33) + 7
-        raw = MsrSpace(node).read(0, int(MSR.MSR_PKG_ENERGY_STATUS))
+        raw = host.msr.read(0, HostMsr.MSR_PKG_ENERGY_STATUS)
         assert 0 <= raw < 1 << 32
-        assert raw == host.msr.read(0, HostMsr.MSR_PKG_ENERGY_STATUS)
+        assert raw == socket.rapl.read_counter(RaplDomain.PACKAGE)
 
 
-#: The registers both MSR views serve.
-SHARED_MSRS = [HostMsr.IA32_TIME_STAMP_COUNTER, HostMsr.IA32_MPERF,
-               HostMsr.IA32_APERF, HostMsr.IA32_ENERGY_PERF_BIAS,
-               HostMsr.MSR_RAPL_POWER_UNIT, HostMsr.MSR_PKG_POWER_LIMIT,
-               HostMsr.MSR_PKG_ENERGY_STATUS, HostMsr.MSR_DRAM_ENERGY_STATUS]
+def _state_image(node, cpu: int, address: HostMsr) -> int:
+    """The register image the node's own state encodes for ``cpu``."""
+    core = node.core(cpu)
+    socket = node.socket_of(cpu)
+    pcu = node.pcus[core.socket_id]
+    if address == HostMsr.IA32_TIME_STAMP_COUNTER:
+        return int(core.counters.tsc)
+    if address == HostMsr.IA32_MPERF:
+        return int(core.counters.mperf)
+    if address == HostMsr.IA32_APERF:
+        return int(core.counters.aperf)
+    if address == HostMsr.IA32_ENERGY_PERF_BIAS:
+        return encode_epb(pcu.epb)
+    if address == HostMsr.MSR_RAPL_POWER_UNIT:
+        return regs.encode_rapl_power_unit(
+            unit_exponent(socket.spec.rapl_energy_unit_j))
+    if address == HostMsr.MSR_PKG_POWER_LIMIT:
+        return regs.encode_power_limit(pcu.limiter.budget_w)
+    domain = {HostMsr.MSR_PKG_ENERGY_STATUS: RaplDomain.PACKAGE,
+              HostMsr.MSR_DRAM_ENERGY_STATUS: RaplDomain.DRAM}[address]
+    return socket.rapl.read_counter(domain)
 
 
-@pytest.mark.parametrize("address", SHARED_MSRS, ids=lambda a: a.name)
+#: Registers that mirror a subsystem's state on every socket.
+STATE_MSRS = [HostMsr.IA32_TIME_STAMP_COUNTER, HostMsr.IA32_MPERF,
+              HostMsr.IA32_APERF, HostMsr.IA32_ENERGY_PERF_BIAS,
+              HostMsr.MSR_RAPL_POWER_UNIT, HostMsr.MSR_PKG_POWER_LIMIT,
+              HostMsr.MSR_PKG_ENERGY_STATUS, HostMsr.MSR_DRAM_ENERGY_STATUS]
+
+
+@pytest.mark.parametrize("address", STATE_MSRS, ids=lambda a: a.name)
 def test_msr_views_agree(host, address):
-    """MsrSpace and VirtualMsrDev are two views of one register file:
-    every register both serve reads the same, and a PL1 write with the
-    enable bit clear disables the limit through either view."""
+    """The device and the subsystems behind it are two views of one
+    register file: every register reads what its socket's counters,
+    PCU or RAPL bank hold, and a PL1 write with the enable bit clear
+    disables the limit."""
     node = host.node
     node.run_workload([c.core_id for c in node.sockets[0].cores],
                       firestarter())
     host.sim.run_for(ms(5))
-    msrspace = MsrSpace(node)
     for cpu in (0, 12):
-        assert msrspace.read(cpu, int(address)) \
-            == host.msr.read(cpu, address)
+        assert host.msr.read(cpu, address) == _state_image(node, cpu, address)
     if address == HostMsr.MSR_PKG_POWER_LIMIT:
-        tdp = regs.encode_power_limit(node.pcus[0].spec.tdp_w)
-        for view in (msrspace, host.msr):
-            node.pcus[0].limiter.budget_w = 90.0
-            view.write(0, int(address), 0)    # enable clear, zero limit
-            assert msrspace.read(0, int(address)) == tdp
-            assert host.msr.read(0, address) == tdp
+        node.pcus[0].limiter.budget_w = 90.0
+        host.msr.write(0, address, 0)    # enable clear, zero limit
+        assert host.msr.read(0, address) \
+            == regs.encode_power_limit(node.pcus[0].spec.tdp_w)
 
 
 # ---- sysfs tree ----------------------------------------------------------

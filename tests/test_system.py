@@ -1,12 +1,11 @@
-"""Core/Socket/Node state machines and the MSR interface."""
+"""Core/Socket/Node state machines and the MSR space they expose."""
 
 import pytest
 
 from repro.cstates.states import CState, PackageCState
 from repro.errors import ConfigurationError, MsrError, SimulationError
-from repro.pcu.epb import Epb
+from repro.hostif import HostMsr, VirtualHost
 from repro.power.rapl import RaplDomain
-from repro.system.msr import MSR, MsrSpace
 from repro.units import ghz, ms
 from repro.workloads.micro import busy_wait, idle, while1_spin
 
@@ -142,44 +141,19 @@ class TestNodeIntegration:
 
 
 class TestMsrSpace:
-    @pytest.fixture
-    def msr(self, haswell) -> MsrSpace:
-        return MsrSpace(haswell)
+    """The node's model-specific registers, read through the host MSR
+    device (the only MSR path)."""
 
-    def test_epb_read_write(self, msr, haswell):
-        msr.write(0, MSR.IA32_ENERGY_PERF_BIAS, 15)
-        assert haswell.pcus[0].epb is Epb.POWERSAVE
-        assert msr.read(0, MSR.IA32_ENERGY_PERF_BIAS) == 15
-        # socket 1 untouched
-        assert haswell.pcus[1].epb is Epb.BALANCED
+    @pytest.fixture
+    def msr(self, sim, haswell):
+        return VirtualHost(sim, haswell).msr
 
     def test_rapl_power_unit_encoding(self, msr):
-        raw = msr.read(0, MSR.MSR_RAPL_POWER_UNIT)
+        raw = msr.read(0, HostMsr.MSR_RAPL_POWER_UNIT)
         assert (raw >> 8) & 0x1F == 14      # 1/2^14 J
-
-    def test_energy_status_reads(self, sim, haswell, msr):
-        haswell.run_workload([0], busy_wait())
-        sim.run_for(ms(10))
-        assert msr.read(0, MSR.MSR_PKG_ENERGY_STATUS) > 0
-        assert msr.read(0, MSR.MSR_DRAM_ENERGY_STATUS) > 0
-
-    def test_aperf_mperf_tsc(self, sim, haswell, msr):
-        haswell.run_workload([0], busy_wait())
-        sim.run_for(ms(10))
-        assert msr.read(0, MSR.IA32_APERF) > 0
-        assert msr.read(0, MSR.IA32_MPERF) > 0
-        assert msr.read(0, MSR.IA32_TIME_STAMP_COUNTER) > 0
-
-    def test_uncore_ratio_limit_undocumented(self, msr):
-        # Section II-D: "neither the actual number of this MSR nor the
-        # encoded information is available"
-        with pytest.raises(MsrError):
-            msr.read(0, MSR.MSR_UNCORE_RATIO_LIMIT)
-        with pytest.raises(MsrError):
-            msr.write(0, MSR.MSR_UNCORE_RATIO_LIMIT, 0x1E1E)
 
     def test_unknown_msr_rejected(self, msr):
         with pytest.raises(MsrError):
             msr.read(0, 0xDEAD)
         with pytest.raises(MsrError):
-            msr.write(0, MSR.IA32_APERF, 0)
+            msr.write(0, HostMsr.IA32_APERF, 0)
