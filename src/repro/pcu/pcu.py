@@ -131,9 +131,6 @@ class Pcu:
         self._steady_lo_hz = 0.0
         self._steady_hi_hz = 0.0
         self._steady_load_w = 0.0
-        # Steady spans: the tick delay sums of the current jitter block
-        # (Pcu.span_ticks).
-        self._span_sums: tuple = (None, None)
 
     # ---- lifecycle -------------------------------------------------------------
 
@@ -441,11 +438,10 @@ class Pcu:
     def span_ticks(self) -> tuple:
         """What this PCU's next ticks can absorb without a refill.
 
-        Returns ``(jitters, sums, cursor, m, window, applies, lane)``:
-        the tick-jitter block and the cursor into it
-        (:meth:`DrawBatch.block`), the block's delay sums (``sums[k]``
-        is the total delay of its first ``k`` ticks, so tick ``j`` of a
-        span comes ``sums[cursor + j] - sums[cursor]`` after the queued
+        Returns ``(jitters, sums, m, window, applies, lane)``: the tick
+        jitters left in the draw block (:meth:`DrawBatch.block`), their
+        delay sums (``sums[j]`` is the total delay of the first ``j``,
+        so tick ``j`` of a span comes ``sums[j]`` after the queued
         tick), the number ``m`` of ticks that can run inside a span and
         whether tick ``m`` stops it by leaving the grant window
         (otherwise by the end of a draw block). Under a grant-only plan
@@ -458,20 +454,17 @@ class Pcu:
         before the next tick, whose re-classification makes the window
         ``(g, g)``. The first apply a span cannot carry is tick ``m``.
         ``lane`` is the socket's landed lane
-        (:meth:`Socket.landed_lane`) when ``applies`` is not empty. The
-        delay sums are computed once per jitter block.
+        (:meth:`Socket.landed_lane`) when ``applies`` is not empty.
         """
         jitters, cursor = self._jitter_batch.block(*self._jitter_args)
-        if self._span_sums[0] is not jitters:
-            sums = np.zeros(len(jitters) + 1, dtype=np.int64)
-            np.cumsum(self.tick_delays(jitters), out=sums[1:])
-            self._span_sums = (jitters, sums)
-        sums = self._span_sums[1]
-        m = len(jitters) - cursor
+        jitters = jitters[cursor:]
+        sums = np.zeros(len(jitters) + 1, dtype=np.int64)
+        np.cumsum(self.tick_delays(jitters), out=sums[1:])
+        m = len(jitters)
         applies = []
         lane = None
         if self._steady_plan is not _GRANT or not m:
-            return jitters, sums, cursor, m, False, applies, lane
+            return jitters, sums, m, False, applies, lane
         dithers, start = self._dither_batch.block(*self.limiter.DITHER_ARGS)
         m = min(m, len(dithers) - start)
         granted = self.limiter.dithered_n(
@@ -486,11 +479,11 @@ class Pcu:
                 break
             j += first
             if not (lane or (lane := self._carries_apply())):
-                return jitters, sums, cursor, j, True, applies, lane
+                return jitters, sums, j, True, applies, lane
             lo = hi = granted[j].item()
             applies.append((j, lo))
             j += 1
-        return jitters, sums, cursor, m, False, applies, lane
+        return jitters, sums, m, False, applies, lane
 
     def _carries_apply(self) -> tuple | None:
         """The socket's landed lane (:meth:`Socket.landed_lane`) when a

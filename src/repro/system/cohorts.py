@@ -168,33 +168,27 @@ class SpanCohorts:
 
         ``at`` holds the chain cohorts' merge places, ``ticks`` each
         PCU's ticks' places and ``rel`` the merged firings' times. A
-        carried cohort ties with no tick and keeps its cores in
-        lockstep; both PCUs re-grant the running clocks on their first
-        tick after it (:meth:`_check`); and each PCU ticks twice before
-        the next cohort (the derivation and the tick that classifies its
-        no-op plan). The span holds a cohort only with a later firing,
-        whose segment refreshes the touched sockets' rates.
+        carried cohort keeps its cores in lockstep; both PCUs re-grant
+        the running clocks on their first tick after it (:meth:`_check`);
+        and each PCU ticks twice before the next cohort (the derivation
+        and the tick that classifies its no-op plan). The span holds a
+        cohort only with a later firing, whose segment refreshes the
+        touched sockets' rates. The plan ends before any cohort that
+        ties with another firing (:meth:`Node._span_ties_unsure`).
         """
         steps = self.steps
         before = [t.searchsorted(at) for t in ticks]
-        times = [step[0] for step in steps]
-        tied = np.zeros(len(times), dtype=bool)
-        for t in ticks:
-            if len(t):
-                tick_times = rel[t]
-                i = tick_times.searchsorted(times)
-                tied |= tick_times[np.minimum(i, len(t) - 1)] == times
         carried = 0
         for j, c in enumerate(at.tolist()):
             if c >= n:
                 break
-            if (not steps[j][3] or tied[j]
+            if (not steps[j][3]
                     or (j and any(b[j] - b[j - 1] < 2 for b in before))
                     or self._check(steps[j][2]) is None):
                 n = c
                 break
             carried = j + 1
-        while carried and rel[n - 1] <= times[carried - 1]:
+        while carried and rel[n - 1] <= steps[carried - 1][0]:
             carried -= 1
             n = int(at[carried])
         self.at = at[:carried]
@@ -254,17 +248,6 @@ class SpanCohorts:
                 for j, c in enumerate(self.at.tolist())]
 
     # ---- between the replay and the commit ----------------------------------------
-
-    def uncarry(self, times: np.ndarray, n: int) -> int:
-        """The longest span of at most ``n`` planned firings, at
-        ``times``, that holds a firing later than each cohort it holds
-        (see :meth:`carry`)."""
-        at = self.at
-        c = int(at.searchsorted(n))
-        while c and times[n - 1] <= times[at[c - 1]]:
-            c -= 1
-            n = int(at[c])
-        return n
 
     def solve(self, n: int) -> int:
         """Solve, in event order, the points of the derivation ticks

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.engine.epoch import EpochCell
 from repro.engine.simulator import Simulator
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.pcu.epb import Epb
 from repro.pcu.pcu import Pcu
 from repro.power.mbvr import Mbvr, SvidCommand
@@ -68,11 +68,14 @@ SPAN_MAX_EVENTS = 1024
 #: queue head, the ``run_until`` horizon, a tick whose dithered grant
 #: leaves its window and whose apply the span cannot carry, the end of
 #: a PCU's draw block, ``SPAN_MAX_EVENTS``, a plan too short to run (it
-#: fires as events), an absorbed EET poll that moved a trim, and a
-#: phase cohort after a carried one that the span cannot carry.
+#: fires as events), an absorbed EET poll that moved a trim, a phase
+#: cohort after a carried one that the span cannot carry, and an instant
+#: whose tied firings the merge may have ordered wrongly
+#: (:meth:`Node._span_ties_unsure`).
 SPAN_ENDS = ("head", "horizon", "window", "draws", "max", "short", "trim",
-             "cohort")
-_HEAD, _HORIZON, _WINDOW, _DRAWS, _MAX, _SHORT, _TRIM, _COHORT = SPAN_ENDS
+             "cohort", "tie")
+_HEAD, _HORIZON, _WINDOW, _DRAWS, _MAX, _SHORT, _TRIM, _COHORT, _TIE = \
+    SPAN_ENDS
 #: The label of a phase-advance cohort's event.
 _COHORT_LABEL = "phase-cohort"
 #: Merge keys stay below this (see Node._span_plan).
@@ -121,35 +124,33 @@ class _SpanPlan:
 
     ``keys`` holds every candidate firing's merge key, timer after
     timer (timer ``i`` from ``offsets[i]``; each PCU's landings after
-    the timers), and ``merged`` the same keys in (time, seq) order;
-    ``pos`` maps a candidate to its place in the merge when the merge
-    needed settling (else the place is found by key). Per planned event
-    ``k``: ``ranks[k]`` (its timer's tie rank, ``rank[i]`` for timer
-    ``i``), ``times[k]`` (ns after the span's start) and ``seg_of[k]``,
-    the number of non-empty segments up to it, whose lengths are
-    ``seg_ns``. Per PCU, ``ticks[p]`` holds the merge keys of its ticks
-    (one past the last that can run), the tick jitters they came from,
-    the applies :meth:`Pcu.span_ticks` found and the socket's landed
-    lane (:meth:`Socket.landed_lane`). ``applies`` lists the planned
-    applies in landing order, ``cohorts`` the phase cohorts the plan
-    carries (None: none), and ``rows`` the places where a landing or a
-    cohort starts a new rate row, each with its ``(socket, rates)``
-    pairs. ``reason`` is why the plan stopped, and ``head`` the queue
-    head's event when it stopped there.
+    the timers), and ``merged`` the same keys sorted: (time, seq) order
+    up to the plan's end, where a candidate's place is found by its
+    key. Per planned event ``k``: ``ranks[k]`` (its timer's tie rank,
+    ``rank[i]`` for timer ``i``), ``times[k]`` (ns after the span's
+    start) and ``seg_of[k]``, the number of non-empty segments up to
+    it, whose lengths are ``seg_ns``. Per PCU, ``ticks[p]`` holds the
+    merge keys of its ticks (one past the last that can run), the tick
+    jitters they came from, the applies :meth:`Pcu.span_ticks` found and
+    the socket's landed lane (:meth:`Socket.landed_lane`). ``applies``
+    lists the planned applies in landing order, ``cohorts`` the phase
+    cohorts the plan carries (None: none), and ``rows`` the places where
+    a landing or a cohort starts a new rate row, each with its
+    ``(socket, rates)`` pairs. ``reason`` is why the plan stopped, and
+    ``head`` the queue head's event when it stopped there.
     """
 
-    __slots__ = ("n", "reason", "keys", "merged", "pos", "offsets",
+    __slots__ = ("n", "reason", "keys", "merged", "offsets",
                  "rank", "by_rank", "ranks", "times", "seg_of", "seg_ns",
                  "ticks", "applies", "cohorts", "rows", "head")
 
-    def __init__(self, n, reason, keys, merged, pos, offsets, rank,
+    def __init__(self, n, reason, keys, merged, offsets, rank,
                  by_rank, ranks, times, seg_of, seg_ns, ticks,
                  applies, cohorts, rows, head) -> None:
         self.n = n
         self.reason = reason
         self.keys = keys
         self.merged = merged
-        self.pos = pos
         self.offsets = offsets
         self.rank = rank
         self.by_rank = by_rank
@@ -589,10 +590,8 @@ class Node:
         self._span_cohort = len(timers) + len(self.pcus)
         # A merge key's tie rank takes its low bits: the periodic
         # timers' ranks are set per plan, each PCU's tick has the rank
-        # after them, then each PCU's landings, then the cohorts; a
-        # tick's key array is kept per jitter block.
+        # after them, then each PCU's landings, then the cohorts.
         self._span_bits = self._span_cohort.bit_length()
-        self._span_tick_keys = [(None, None)] * len(self.pcus)
         # The accumulator entries a span reads before its end: the
         # aperf and stall-cycle rows of the counter block (its EET
         # polls), each RAPL bank's entries (its refreshes), then the AC
@@ -633,11 +632,14 @@ class Node:
            first of the queue head, the ``run_until`` horizon, a tick
            whose dithered grant leaves its window and whose apply the
            span cannot carry, the end of a PCU's draw block,
-           ``SPAN_MAX_EVENTS`` and a cohort after whose derivation
-           ticks a PCU would not re-grant the running clocks
-           (:meth:`SpanCohorts.carry`). A span holds an apply's tick only
-           with its landing and a firing after it (:meth:`_span_cut`),
-           and a cohort only with a firing after it.
+           ``SPAN_MAX_EVENTS``, a cohort after whose derivation ticks a
+           PCU would not re-grant the running clocks
+           (:meth:`SpanCohorts.carry`) and the instant of the first tie
+           whose order the merge keys may not have right
+           (:meth:`_span_ties_unsure`). A span holds an apply's tick
+           only with its landing and a firing after it
+           (:meth:`_span_cut`), and a cohort only with a firing after
+           it.
         2. *Integrate* (:meth:`_span_integrate`): each segment's
            ``rate * dt_s`` increments, with the same products as the
            per-segment adds, from the rate row of the point its
@@ -692,8 +694,6 @@ class Node:
                 return
         end = _TRIM if n_commit < plan.n else plan.reason
         if plan.cohorts is not None:
-            if n_commit < plan.n:
-                n_commit = plan.cohorts.uncarry(plan.times, n_commit)
             solved = plan.cohorts.solve(n_commit)
             if solved < n_commit:
                 n_commit, end = solved, _COHORT
@@ -711,12 +711,14 @@ class Node:
         ``(time - now) << bits | rank``, and so is each carried apply's
         landing, ``pstate_switch_time_ns`` after its tick, and each
         phase cohort of the chain a queue-head cohort starts
-        (:meth:`SpanCohorts.at_head`); one sort merges them in (time, seq)
-        order (:meth:`_span_settle` explains the tie rank), and the plan
+        (:meth:`SpanCohorts.at_head`); one sort merges them, the tie rank
+        ordering equal times (:meth:`_span_ties_unsure`), and the plan
         is the merge up to the limit, the first tick that cannot run, or
         ``SPAN_MAX_EVENTS``, short of any apply whose landing it does
         not hold (:meth:`_span_cut`) and of the first cohort it cannot
-        carry (:meth:`SpanCohorts.carry`).
+        carry (:meth:`SpanCohorts.carry`). It ends before the instant of
+        the first tie the rank may have ordered wrongly: every firing
+        there fires from the queue.
         """
         sim = self.sim
         timers = self._span_timers
@@ -765,22 +767,16 @@ class Node:
         # first that cannot run, and of its applies' landings.
         ticks = []
         for p, pcu in enumerate(self.pcus):
-            jitters, sums, cursor, m, window, applies, lane = \
-                pcu.span_ticks()
+            jitters, sums, m, window, applies, lane = pcu.span_ticks()
             tick_rank = rank[self._span_ticks[p]]
-            block, keys = self._span_tick_keys[p]
-            if block is not sums:
-                keys = sums << bits | tick_rank
-                self._span_tick_keys[p] = (sums, keys)
-            keys = keys[cursor:cursor + m + 1] + (
-                pcu.tick_event.time_ns - now_ns - int(sums[cursor]) << bits)
+            keys = (sums[:m + 1] << bits | tick_rank) + (
+                pcu.tick_event.time_ns - now_ns << bits)
             lands = _NO_KEYS
             if applies:
                 lands = keys[[j for j, _ in applies]] + (
                     (pcu.spec.pstate_switch_time_ns << bits)
                     + rank[self._span_lands[p]] - tick_rank)
-            ticks.append((keys, jitters[cursor:cursor + m], window,
-                          applies, lands, lane))
+            ticks.append((keys, jitters[:m], window, applies, lands, lane))
             stop = now_ns + (int(keys[m]) >> bits)
             if stop < horizon:
                 horizon = stop
@@ -809,79 +805,75 @@ class Node:
         offsets = list(accumulate(counts, initial=0))
         keys = np.concatenate(parts)
         merged = np.sort(keys)
-        exits, lands, carried = self._span_applies(ticks, counts, offsets,
-                                                   keys, merged)
-        # Each rank's first candidate key, its queued firing (-1: none).
-        firsts = np.array([keys[offsets[i]] if counts[i] else -1
-                           for i in by_rank])
-        pos = None
-        while True:
-            # The head's seq precedes every re-arm's, so at its time
-            # only a queued firing can precede it.
-            n = int(merged.searchsorted(limit[0] - now_ns << bits))
-            if limit[0] <= horizon:
-                n += sum(1 for e in queued
-                         if e.time_ns == limit[0] and e.seq < limit[1])
-            why = reason
-            for p, i in enumerate(self._span_ticks):
-                tick_keys, jitters, window, _, _, _ = ticks[p]
-                if counts[i] == len(tick_keys):
-                    flat = offsets[i] + len(jitters)
-                    stop = int(pos[flat] if pos is not None
-                               else merged.searchsorted(keys[flat]))
-                    if stop < n:
-                        n, why = stop, _WINDOW if window else _DRAWS
-            if n >= SPAN_MAX_EVENTS:
-                n, why = SPAN_MAX_EVENTS, _MAX
+        exits, lands, carried = self._span_applies(ticks, counts, offsets)
+        if len(exits):
+            exit_at = merged.searchsorted(keys[exits])
+            land_at = np.where(lands < 0, len(keys),
+                               merged.searchsorted(keys[lands]))
+        if cohorts is not None:
+            places = [merged.searchsorted(keys[offsets[i]:offsets[i + 1]])
+                      for i in self._span_ticks + [self._span_cohort]]
+            rel = merged >> bits
+
+        def hold(n: int, why: str) -> tuple[int, str]:
+            # Short of any apply whose landing the span does not hold and
+            # of the first cohort it cannot carry.
             if len(exits):
-                exit_at = (pos[exits] if pos is not None
-                           else merged.searchsorted(keys[exits]))
-                land_at = np.where(lands < 0, len(keys), (
-                    pos[lands] if pos is not None
-                    else merged.searchsorted(keys[lands])))
                 cut = self._span_cut(n, exit_at, land_at)
                 if cut < n:
                     n, why = cut, _WINDOW
             if cohorts is not None:
-                places = [pos[offsets[i]:offsets[i + 1]] if pos is not None
-                          else merged.searchsorted(
-                              keys[offsets[i]:offsets[i + 1]])
-                          for i in self._span_ticks + [self._span_cohort]]
-                cut = cohorts.carry(n, places.pop(), places, merged >> bits)
+                cut = cohorts.carry(n, places[-1], places[:-1], rel)
                 if cut < n:
                     n, why = cut, _COHORT
-            # Event times (ns after now) and the steps between them, for
-            # the planned events and every firing at the time of the
-            # next one: the merge must have their ties right.
-            ahead = merged[:n + 1]
-            if n < len(merged):
-                ahead = merged[:merged.searchsorted(
-                    (int(merged[n]) >> bits) + 1 << bits)]
-            ext = np.empty(len(ahead) + 1, dtype=np.int64)
-            ext[0] = 0
-            np.right_shift(ahead, bits, out=ext[1:])
-            step = ext[1:] - ext[:-1]
-            moved = step != 0
-            ranks = ahead & (1 << bits) - 1
-            if (pos is not None
-                    or np.count_nonzero(moved[1:]) == len(ahead) - 1
-                    or not self._span_ties_unsure(
-                        moved[1:], ranks, by_rank,
-                        ahead == firsts[ranks])):
-                break
-            # The candidate lists with a queued firing, in seq order.
-            firsts_by_seq = sorted(
-                [(e.seq, i) for i, e in enumerate(events)]
-                + ([(cohorts.event.seq, self._span_cohort)]
-                   if cohorts is not None else []))
-            order = self._span_settle(
-                keys, bits, offsets,
-                [i for _, i in firsts_by_seq] + self._span_lands)
-            merged = keys[order]
-            pos = np.empty(len(order), dtype=np.intp)
-            pos[order] = np.arange(len(order))
+            return n, why
+
+        # The head's seq precedes every re-arm's, so at its time only a
+        # queued firing can precede it.
+        n = int(merged.searchsorted(limit[0] - now_ns << bits))
+        if limit[0] <= horizon:
+            n += sum(1 for e in queued
+                     if e.time_ns == limit[0] and e.seq < limit[1])
+        why = reason
+        for p, i in enumerate(self._span_ticks):
+            tick_keys, jitters, window, _, _, _ = ticks[p]
+            if counts[i] == len(tick_keys):
+                stop = int(merged.searchsorted(
+                    keys[offsets[i] + len(jitters)]))
+                if stop < n:
+                    n, why = stop, _WINDOW if window else _DRAWS
+        if n >= SPAN_MAX_EVENTS:
+            n, why = SPAN_MAX_EVENTS, _MAX
+        n, why = hold(n, why)
+        # Event times (ns after now) and the steps between them, for the
+        # planned events and every firing at the time of the next one: a
+        # tie there the merge may have ordered wrongly could move a
+        # firing into or out of the plan.
+        ahead = merged[:n + 1]
+        if n < len(merged):
+            ahead = merged[:merged.searchsorted(
+                (int(merged[n]) >> bits) + 1 << bits)]
+        ext = np.empty(len(ahead) + 1, dtype=np.int64)
+        ext[0] = 0
+        np.right_shift(ahead, bits, out=ext[1:])
+        step = ext[1:] - ext[:-1]
+        moved = step != 0
+        ranks = ahead & (1 << bits) - 1
+        if np.count_nonzero(moved[1:]) < len(ahead) - 1:
+            # Each rank's first candidate key, its queued firing (-1:
+            # none).
+            firsts = np.array([keys[offsets[i]] if counts[i] else -1
+                               for i in by_rank])
+            tie = self._span_ties_unsure(moved[1:], ranks, by_rank,
+                                         ahead == firsts[ranks])
+            if tie >= 0:
+                # Every firing at the tie's instant fires from the queue.
+                cut = int(merged.searchsorted(int(ext[tie + 1]) << bits))
+                if cut < n:
+                    n, why = hold(cut, _TIE)[0], _TIE
         if n < SPAN_MIN_EVENTS:
-            return self._span_short(now_ns + int(ext[-1]))
+            return self._span_short(
+                now_ns + (int(merged[min(n, len(merged) - 1)]) >> bits))
         applies = []
         if len(exits):
             for (p, j, g), e, land in zip(carried, exit_at.tolist(),
@@ -897,34 +889,25 @@ class Node:
             else:
                 cohorts = None
         moved = moved[:n]
-        return _SpanPlan(n, why, keys, merged, pos, offsets, rank, by_rank,
+        return _SpanPlan(n, why, keys, merged, offsets, rank, by_rank,
                          ranks[:n], ext[1:n + 1], moved.cumsum(),
                          step[:n][moved], ticks, applies, cohorts, rows,
                          limit[2] if why is _HEAD else None)
 
     def _span_applies(self, ticks: list, counts: list[int],
-                      offsets: list[int], keys: np.ndarray,
-                      merged: np.ndarray) -> tuple:
+                      offsets: list[int]) -> tuple:
         """The applies whose ticks the candidate firings hold:
-        ``(exits, lands, carried)``, the flat indices into ``keys`` of
-        each apply's tick and of its landing, and per apply its PCU,
-        tick index and grant. A landing past the horizon, or at the time
-        of another firing (whose order against it the merge keys do not
-        settle), has the index -1: the span must end before its tick."""
-        bits = self._span_bits
-        rel = merged >> bits
+        ``(exits, lands, carried)``, the flat indices into the candidate
+        keys of each apply's tick and of its landing, and per apply its
+        PCU, tick index and grant. A landing past the horizon has the
+        index -1: the span must end before its tick."""
         exits, lands, carried = [], [], []
         for p, (i, j) in enumerate(zip(self._span_ticks, self._span_lands)):
             for q, (k, g) in enumerate(ticks[p][3]):
                 if k >= counts[i]:
                     break
                 exits.append(offsets[i] + k)
-                land = -1
-                if q < counts[j]:
-                    t = keys[offsets[j] + q] >> bits
-                    if rel.searchsorted(t, "right") - rel.searchsorted(t) == 1:
-                        land = offsets[j] + q
-                lands.append(land)
+                lands.append(offsets[j] + q if q < counts[j] else -1)
                 carried.append((p, k, g))
         return (np.array(exits, dtype=np.intp),
                 np.array(lands, dtype=np.intp), carried)
@@ -948,63 +931,31 @@ class Node:
         self._span_short_until = until_ns
 
     def _span_ties_unsure(self, moved: np.ndarray, ranks: np.ndarray,
-                          by_rank: list[int], queued: np.ndarray) -> bool:
-        """Whether the merge may have ordered two equal-time firings
-        wrongly. ``moved[k]`` is whether firing ``k + 1`` comes later
-        than firing ``k``, and ``queued[k]`` whether firing ``k`` is its
-        timer's queued event. The tie rank settles a tie between two
-        periodic timers of one period (see :meth:`_span_settle`), and
-        one between periodic timers of two periods unless the second is
-        queued: the first then has the longer period, and a re-arm at
-        the time of another sorts first when its parent fired earlier,
-        which the longer period's parent did (a queued firing sorts
-        before every re-arm). Any tie with a tick or a landing is
-        unsure."""
+                          by_rank: list[int], queued: np.ndarray) -> int:
+        """The first of two equal-time firings the merge may have ordered
+        wrongly (-1: none). ``moved[k]`` is whether firing ``k + 1``
+        comes later than firing ``k``, and ``queued[k]`` whether firing
+        ``k`` is its timer's queued event.
+
+        A queued firing keeps its seq. Every later firing is a re-arm,
+        whose seq is the next after everything queued, taken when its
+        parent (the timer's previous firing) fires: among equal times, a
+        queued firing sorts first, and the re-arm of the earlier parent
+        before the later. The tie rank encodes this for two periodic
+        timers of one period, all of whose ancestors tie too: the timer
+        whose chain reaches its queued event first (the later queued
+        time) sorts first, or the one queued first. It also orders
+        periodic timers of two periods unless the second is queued: the
+        first then has the longer period, and its parent fired earlier.
+        Any tie with a tick, a landing or a cohort is unsure."""
         timers = self._span_timers
         period = np.array([timers[i].period_ns if i < len(timers) else 0
                            for i in by_rank])[ranks]
         first, second = period[:-1], period[1:]
-        return bool(np.count_nonzero(~moved & (
+        unsure = np.flatnonzero(~moved & (
             (first == 0) | (second == 0)
-            | ((second != first) & queued[1:]))))
-
-    @staticmethod
-    def _span_settle(keys: np.ndarray, bits: int, offsets: list[int],
-                     queued: list[int]) -> np.ndarray:
-        """The exact (time, seq) order of the candidate firings.
-
-        A queued firing keeps its seq. Every later firing is a re-arm,
-        whose seq is the next after everything queued, taken when its
-        parent (the timer's previous firing) fires: among equal times,
-        a queued firing sorts first, and the re-arm of the earlier
-        parent before the later. The merge keys' tie rank encodes this
-        between two periodic timers of one period, all of whose
-        ancestors tie too: the timer whose chain reaches its queued
-        event first (the later queued time) sorts first, or the one
-        queued first. Any other tie is settled here, starting from the
-        merge keys' order, by re-sorting on the parents' places until
-        the order is its own fixed point (which is unique: each pass
-        settles the earliest time whose ties were wrong). ``queued``
-        lists the timers in the seq order of their queued events, then
-        the landing lists, whose ties the plan does not hold.
-        """
-        n = len(keys)
-        order = keys.argsort(kind="stable")
-        rel = keys >> bits
-        first = np.full(n, -1)
-        for r, i in enumerate(queued):
-            if offsets[i + 1] > offsets[i]:
-                first[offsets[i]] = r
-        parent = np.arange(n) - 1
-        pos = np.empty(n, dtype=np.intp)
-        for _ in range(n):
-            pos[order] = np.arange(n)
-            tie = np.where(first >= 0, first, (1 << bits) + pos[parent])
-            settled = np.lexsort((tie, rel))
-            if np.array_equal(settled, order):
-                return order
-            order = settled
-        raise SimulationError("steady span: the merge did not settle")
+            | ((second != first) & queued[1:])))
+        return int(unsure[0]) if len(unsure) else -1
 
     def _span_integrate(self, plan: _SpanPlan) -> tuple:
         """Phase 2 of :meth:`run_span`: the segments' increments.
@@ -1100,8 +1051,7 @@ class Node:
         fired = [fired[r] for r in plan.rank]
         # The place of each timer's last firing, which re-armed it.
         flats = [offset + c - 1 for offset, c in zip(plan.offsets, fired)]
-        places = (plan.pos[flats] if plan.pos is not None
-                  else plan.merged.searchsorted(plan.keys[flats])).tolist()
+        places = plan.merged.searchsorted(plan.keys[flats]).tolist()
         # The refreshes' latches and the landings, in event order. The
         # segment after each landing refreshes the socket's rates (every
         # landing has one, _span_cut), so it is no epoch-check hit. Each

@@ -284,10 +284,11 @@ def test_memory_bound_powersave_eet_trims(monkeypatch):
 
 
 def test_moved_trim_between_apply_and_landing(monkeypatch):
-    """Jitter-free ticks half a microsecond before the 1 ms poll grid:
-    an apply's landing comes just after the polls, so a poll that moves
-    a trim can fall between an apply's tick and its landing. The span
-    then ends before the tick, not after the poll."""
+    """Jitter-free ticks half a microsecond (socket 1's 0.6 µs, so the
+    ticks never tie) before the 1 ms poll grid: an apply's landing comes
+    just after the polls, so a poll that moves a trim can fall between
+    an apply's tick and its landing. The span then ends before the tick,
+    not after the poll."""
     cuts = []
     replay = Node._span_replay
 
@@ -308,7 +309,9 @@ def test_moved_trim_between_apply_and_landing(monkeypatch):
         node.set_pstate([12, 13, 14, 15], ghz(2.5))
         for pcu in reversed(node.pcus):
             pcu.extra_tick_jitter_ns = -TICK_JITTER_NS
-            sim.queue.rearm(pcu.tick_event, ms(3) - 500, pcu._tick)
+            sim.queue.rearm(pcu.tick_event,
+                            ms(3) - 500 - 100 * pcu.socket.socket_id,
+                            pcu._tick)
         sim.run_for(ms(400))
 
     node = _twins(drive, epb=Epb.POWERSAVE)
@@ -358,33 +361,33 @@ def test_odd_run_for_chunks(drive_name):
 
 @pytest.mark.parametrize("drive_name", ["compute", "firestarter",
                                         "firestarter-landings"])
-def test_ticks_polls_and_refresh_share_timestamps(monkeypatch, drive_name):
-    """Jitter-free ticks re-armed onto the 1 ms grid of the EET polls and
-    the RAPL refresh: both ticks, both polls and the refresh fire at the
-    same instant every millisecond, and the merge must order them as
-    the queue would (queued seq first, then the re-arm of the earlier
-    firing). With the ticks one switch time before the grid, a landing
-    on the millisecond ties with both polls and the refresh, and its
-    span ends at its tick."""
-    settles = []
-    settle = Node._span_settle
-
-    def spy(*args):
-        settles.append(1)
-        return settle(*args)
-
-    monkeypatch.setattr(Node, "_span_settle", staticmethod(spy))
-
+def test_ticks_polls_and_refresh_share_timestamps(drive_name):
+    """Both EET polls and the RAPL refresh fire at the same instant every
+    millisecond, and the tie rank orders them as the queue would (queued
+    seq first, then the re-arm of the earlier firing). Ticks re-armed
+    onto that grid with one nanosecond of jitter tie with them, and with
+    each other, at scattered instants; the merge keys cannot order a
+    tie with a tick, so a span ends before that instant (``tie``) and
+    its firings fire from the queue. With jitter-free ticks one switch
+    time before the grid (socket 0's a quarter millisecond later, so no
+    two ticks tie), a landing on the millisecond ties with both polls
+    and the refresh, and its span ends before its tick (``tie``); one at
+    the half millisecond is carried."""
     busy = drive_name != "compute"
     landings = drive_name == "firestarter-landings"
-    first_ns = ms(3) - (node_switch_ns() if landings else 0)
 
     def drive(sim, node):
         ids = list(range(24 if landings else 12)) if busy else [0, 1, 12]
         node.run_workload(ids, firestarter() if busy else compute())
         # Socket 1's tick queued first: at every tie it fires first.
         for pcu in reversed(node.pcus):
-            pcu.extra_tick_jitter_ns = -TICK_JITTER_NS
+            if landings:
+                pcu.extra_tick_jitter_ns = -TICK_JITTER_NS
+                first_ns = ms(3) - node_switch_ns() + us(250) * (
+                    1 - pcu.socket.socket_id)
+            else:
+                pcu.extra_tick_jitter_ns = 1 - TICK_JITTER_NS
+                first_ns = ms(3)
             sim.queue.rearm(pcu.tick_event, first_ns, pcu._tick)
         for chunk in (ms(61), us(250), ms(97) + 500, ms(140)):
             sim.run_for(chunk)
@@ -392,15 +395,11 @@ def test_ticks_polls_and_refresh_share_timestamps(monkeypatch, drive_name):
     node = _twins(drive, trace=lambda: TraceRecorder(
         kinds={"freq-apply", "rapl-update"}))
     assert node.span_events > 200
+    assert node.span_ends["tie"] > 0
     if landings:
-        # A landing on the millisecond grid ties and ends its span at its
-        # tick; one between (at the half millisecond) is carried.
         assert any(r.kind == "freq-apply" and r.time_ns % ms(1) == 0
                    for r in node.sim.trace.records)
-        assert node.span_ends["window"] > 0
         assert node.span_applies > 0
-    else:
-        assert settles, "no merge needed settling"
 
 
 def node_switch_ns() -> int:
@@ -656,12 +655,13 @@ def test_meter_hook_keeps_samples_events(monkeypatch):
 
 def _grid_meter(sim: Simulator, node: Node, *, ticks: bool) -> tuple:
     """A meter started on the millisecond: every sample ties with both
-    EET polls and the RAPL refresh (and, with jitter-free ticks re-armed
-    onto the grid, with both ticks)."""
+    EET polls and the RAPL refresh (and, with ticks re-armed onto the
+    grid with one nanosecond of jitter, at some instants with a
+    tick)."""
     _firestarter_turbo(sim, node)
     if ticks:
         for pcu in reversed(node.pcus):
-            pcu.extra_tick_jitter_ns = -TICK_JITTER_NS
+            pcu.extra_tick_jitter_ns = 1 - TICK_JITTER_NS
             sim.queue.rearm(pcu.tick_event, ms(3), pcu._tick)
     sim.run_for(ms(7))
     meter = Lmg450(sim, node)
@@ -675,28 +675,19 @@ def _grid_meter(sim: Simulator, node: Node, *, ticks: bool) -> tuple:
 def test_meter_samples_tied_with_refresh(monkeypatch, ticks):
     """Samples on the millisecond grid tie with the polls and the
     refresh. The tie rank orders a re-armed sample first (its parent
-    fired 50 ms earlier, the others' 1 ms earlier) and every order it
-    trusts equals the exact settle's; ties with ticks are settled."""
-    tied = {True: 0, False: 0}     # tied samples, by settled plan
+    fired 50 ms earlier, the others' 1 ms earlier), so spans absorb the
+    tied samples; an instant where a tick ties too ends its span
+    (``tie``)."""
+    tied = []     # per plan, its samples tied with another firing
     plan_of = Node._span_plan
 
     def spy(node, now_ns):
         plan = plan_of(node, now_ns)
-        if plan is None:
-            return plan
-        n = plan.n
-        times = plan.merged[:n] >> node._span_bits
-        reads = [plan.rank[i] for i in node._span_reads]
-        tied[plan.pos is not None] += int(np.count_nonzero(
-            np.isin(plan.ranks, reads) & (np.bincount(times)[times] > 1)))
-        if plan.pos is None:
-            timers = node._span_timers
-            queued = sorted(range(len(timers)),
-                            key=lambda i: timers[i].event.seq)
-            order = Node._span_settle(plan.keys, node._span_bits,
-                                      plan.offsets,
-                                      queued + node._span_lands)
-            assert np.array_equal(plan.keys[order[:n]], plan.merged[:n])
+        if plan is not None:
+            times = plan.times
+            reads = [plan.rank[i] for i in node._span_reads]
+            tied.append(int(np.count_nonzero(
+                np.isin(plan.ranks, reads) & (np.bincount(times)[times] > 1))))
         return plan
 
     monkeypatch.setattr(Node, "_span_plan", spy)
@@ -704,7 +695,8 @@ def test_meter_samples_tied_with_refresh(monkeypatch, ticks):
         monkeypatch, lambda sim, node: _grid_meter(sim, node, ticks=ticks))
     assert len(metered[0]) == 11
     assert all(t % ms(1) == 0 for t in metered[0])
-    assert tied[ticks] >= 3, "no tied sample in a span"
+    assert sum(tied) >= 3, "no tied sample in a span"
+    assert node.span_ends["tie"] > 0 if ticks else not node.span_ends["tie"]
     assert node.span_applies > 0
 
 
@@ -712,8 +704,8 @@ def test_late_reader_tied_with_a_rearmed_sample(monkeypatch):
     """A span reader of its own (every millisecond, first firing 100 ms
     after it starts) whose queued first firing ties with a re-armed
     meter sample: the queued firing sorts first, although the tie rank
-    puts the longer period first, so the plan settles that tie. The
-    reader's records and both timers' sequence numbers match."""
+    puts the longer period first, so a span ends before that instant.
+    The reader's records and both timers' sequence numbers match."""
     def drive(sim, node):
         node.run_workload(list(range(4)), compute())
         sim.run_for(ms(4))
@@ -737,6 +729,7 @@ def test_late_reader_tied_with_a_rearmed_sample(monkeypatch):
     assert tied[1][0][0] == ms(104) == metered[0][1]
     assert n_log == 301
     assert node.span_events > 1000
+    assert node.span_ends["tie"] > 0
 
 
 def test_meter_draws_ledgered_in_event_order(monkeypatch):
@@ -1070,9 +1063,12 @@ def _horizon_states(sim, node, horizons) -> list:
 def test_cohorts_closer_than_two_ticks(monkeypatch):
     """A span carries a cohort only if each PCU ticks twice (derivation
     and classification) after the cohort before it: after a 0.7 ms
-    phase with one tick the cohort goes to the queue. Horizons every
-    6.85 ms compare what the PCUs cached in between."""
+    phase with one tick the cohort goes to the queue. The cohorts start
+    a quarter millisecond off the poll grid (a cohort tied with a poll
+    would end its span). Horizons every 6.85 ms compare what the PCUs
+    cached in between."""
     def drive(sim, node):
+        sim.run_for(us(250))
         node.run_workload(list(range(8)), _short_long())
         return _horizon_states(sim, node, range(us(6850), ms(600),
                                                 us(6850)))
@@ -1105,42 +1101,34 @@ def test_cohorts_tied_with_ticks(monkeypatch):
     assert node.span_cohorts == 0
 
 
-def _stall_pulse() -> Workload:
-    """A stall-free 3 ms phase and a 1.5 ms stally one: under EPB
-    powersave the poll half a millisecond into the stally phase moves
-    the trim, and so does the poll at its end, which ties with the
-    cohort there (every other cycle, on the 1 ms grid)."""
-    return Workload(name="stall-pulse", cyclic=True, phases=(
-        WorkloadPhase(name="lean", duration_ns=ms(3), power_activity=0.3,
-                      ipc_parity=1.6, stall_fraction=0.0),
-        WorkloadPhase(name="stally", duration_ns=us(1500),
-                      power_activity=0.25, ipc_parity=0.8,
-                      stall_fraction=0.4)))
+def test_cohort_tied_with_a_poll(monkeypatch):
+    """Every eighth of the sinus's 3.125 ms cohorts falls on the 1 ms
+    grid of the EET polls and the RAPL refresh: the merge keys cannot
+    order a tie with a cohort, so the span ends before that instant
+    (``tie``) and the cohort and the polls fire from the queue; the
+    cohorts off the grid are carried."""
+    cohort_ties = []
+    plan_of = Node._span_plan
 
+    def spy(node, now_ns):
+        plan = plan_of(node, now_ns)
+        if plan is not None and plan.reason == "tie":
+            bits = node._span_bits
+            times = plan.merged >> bits
+            tied = plan.merged[times == times[plan.n]] & (1 << bits) - 1
+            cohort_ties.append(plan.rank[node._span_cohort] in tied)
+        return plan
 
-def test_moved_trim_tied_with_a_cohort(monkeypatch):
-    """A span that starts just before a cohort whose poll at the same
-    instant moves the trim: the replay ends the span after that poll,
-    which leaves the cohort without a later firing, so the span ends
-    before the cohort (both fire from the queue)."""
-    cut = []
-    uncarry = SpanCohorts.uncarry
-
-    def spy(cohorts, times, n):
-        kept = uncarry(cohorts, times, n)
-        cut.append(kept < n)
-        return kept
-
-    monkeypatch.setattr(SpanCohorts, "uncarry", spy)
+    monkeypatch.setattr(Node, "_span_plan", spy)
 
     def drive(sim, node):
-        node.run_workload(list(range(12)), _stall_pulse())
-        sim.run_for(ms(900))
+        node.run_workload(list(range(12)), sinus(period_ns=ms(100)))
+        sim.run_for(ms(300))
         return _cohort_state(node)
 
-    node, _ = _spans_off_twins(monkeypatch, drive, epb=Epb.POWERSAVE)
+    node, _ = _spans_off_twins(monkeypatch, drive)
     assert node.span_cohorts > 0
-    assert any(cut), "no moved trim tied with a carried cohort"
+    assert any(cohort_ties), "no span ended at a cohort tied with a poll"
 
 
 def test_clock_moved_outside_the_pcu(monkeypatch):
@@ -1158,21 +1146,6 @@ def test_clock_moved_outside_the_pcu(monkeypatch):
 
     node, _ = _spans_off_twins(monkeypatch, drive)
     assert node.span_cohorts > 0
-
-
-def test_carry_and_uncarry_hold_a_later_firing():
-    """``SpanCohorts.uncarry`` drops the committed cohorts with no later
-    firing among the committed ones, as ``carry`` does for the plan."""
-    cohorts = SpanCohorts.__new__(SpanCohorts)
-    cohorts.at = np.array([3, 9])
-    times = np.array([0, 5, 5, 7, 7, 7, 8, 9, 9, 12, 12, 14])
-    assert cohorts.uncarry(times, 12) == 12
-    assert cohorts.uncarry(times, 11) == 9     # place 10 ties with 9
-    assert cohorts.uncarry(times, 10) == 9
-    assert cohorts.uncarry(times, 7) == 7
-    assert cohorts.uncarry(times, 6) == 3      # place 5 ties with 3
-    assert cohorts.uncarry(times, 4) == 3
-    assert cohorts.uncarry(times, 3) == 3
 
 
 def test_summary_reports_spans():
